@@ -9,6 +9,7 @@ function of the input ideal, independent of generator order or scaling.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import random
 
 from .monideal import MonomialIdeal
@@ -16,7 +17,6 @@ from .ring import (
     Exponent,
     Polynomial,
     Ring,
-    exp_degree,
     exp_divides,
     exp_lcm,
     exp_sub,
@@ -63,11 +63,18 @@ def reduce(f: Polynomial, basis: list[Polynomial]) -> Polynomial:
             raise ValueError("zero polynomial in reducing basis")
         e, c = g.leading_term()
         heads.append((e, pow(c, -1, p), g))
+    # Terms are taken largest first.  The heap, keyed on descending graded
+    # revlex, holds an entry for every exponent in work; an entry whose
+    # exponent has since left work (cancelled, or already taken) is stale.
     work = dict(f.terms)
+    heap = [(-sum(e), e[::-1], e) for e in work]
+    heapq.heapify(heap)
     out: dict[Exponent, int] = {}
     while work:
-        exp = max(work, key=revlex_key)
-        coeff = work.pop(exp)
+        exp = heapq.heappop(heap)[2]
+        coeff = work.pop(exp, 0)
+        if not coeff:
+            continue
         for e, cinv, g in heads:
             if exp_divides(e, exp):
                 shift = exp_sub(exp, e)
@@ -76,60 +83,48 @@ def reduce(f: Polynomial, basis: list[Polynomial]) -> Polynomial:
                     if e2 == e:
                         continue
                     target = tuple(a + b for a, b in zip(e2, shift))
-                    c = (work.get(target, 0) - scale * c2) % p
+                    old = work.get(target, 0)
+                    c = (old - scale * c2) % p
                     if c:
+                        if not old:
+                            heapq.heappush(heap, (-sum(target), target[::-1], target))
                         work[target] = c
                     else:
-                        work.pop(target, None)
+                        del work[target]
                 break
         else:
             out[exp] = coeff
     return Polynomial.from_dict(ring, out)
 
 
-def _pair_key(basis: list[Polynomial], pair: tuple[int, int]) -> tuple:
-    i, j = pair
+def _pair_key(basis: list[Polynomial], i: int, j: int) -> tuple:
     lcm = exp_lcm(basis[i].leading_exponent(), basis[j].leading_exponent())
-    return (exp_degree(lcm), revlex_key(lcm), i, j)
+    return (*revlex_key(lcm), i, j)
 
 
-def buchberger(
-    gens: list[Polynomial], *, use_chain_criterion: bool = False
-) -> list[Polynomial]:
+def buchberger(gens: list[Polynomial]) -> list[Polynomial]:
     """Reduced Groebner basis of the homogeneous ideal generated by gens.
 
     Pair selection is the normal strategy: smallest lcm degree first, ties
     broken by revlex on the lcm, then by index, which makes the run fully
-    deterministic.  Pairs with coprime leading terms are skipped; the chain
-    criterion is available behind a flag and must not change the result.
+    deterministic.  Pairs with coprime leading terms are skipped.
     """
     _validate_input(gens)
     basis = [g.monic() for g in gens]
-    pairs = {(i, j) for j in range(len(basis)) for i in range(j)}
+    pairs = [_pair_key(basis, i, j) for j in range(len(basis)) for i in range(j)]
+    heapq.heapify(pairs)
     while pairs:
-        pair = min(pairs, key=lambda q: _pair_key(basis, q))
-        pairs.discard(pair)
-        i, j = pair
+        *_, i, j = heapq.heappop(pairs)
         ei = basis[i].leading_exponent()
         ej = basis[j].leading_exponent()
         if all(a == 0 or b == 0 for a, b in zip(ei, ej)):
             continue  # coprime heads: S-polynomial always reduces to zero
-        if use_chain_criterion:
-            lcm = exp_lcm(ei, ej)
-            if any(
-                k != i
-                and k != j
-                and exp_divides(basis[k].leading_exponent(), lcm)
-                and (min(i, k), max(i, k)) not in pairs
-                and (min(j, k), max(j, k)) not in pairs
-                for k in range(len(basis))
-            ):
-                continue
         h = reduce(s_polynomial(basis[i], basis[j]), basis)
         if not h.is_zero:
             basis.append(h.monic())
             new = len(basis) - 1
-            pairs.update((k, new) for k in range(new))
+            for k in range(new):
+                heapq.heappush(pairs, _pair_key(basis, k, new))
     return _interreduce(basis)
 
 

@@ -1,4 +1,5 @@
-"""Shared helpers: deterministic random ideals and curated fixture ideals."""
+"""Shared helpers: deterministic random ideals, curated fixture ideals and
+reference implementations."""
 
 from __future__ import annotations
 
@@ -6,7 +7,16 @@ import random
 
 from hypothesis import HealthCheck, settings
 
-from cmreg import DEFAULT_CHAR, MonomialIdeal, Polynomial, Ring, minimalize, parse_polynomial
+from cmreg import (
+    DEFAULT_CHAR,
+    MonomialIdeal,
+    Polynomial,
+    Ring,
+    minimalize,
+    parse_polynomial,
+    revlex_key,
+)
+from cmreg.ring import Exponent, exp_divides, exp_sub
 
 settings.register_profile(
     "suite",
@@ -69,3 +79,40 @@ def monomial_curve(alpha: int, beta: int, p: int = DEFAULT_CHAR) -> list[Polynom
             rhs += f"*x4^{j}"
         gens.append(parse_polynomial(f"{lhs} - {rhs}", ring))
     return gens
+
+
+def reduce_reference(f: Polynomial, basis: list[Polynomial]) -> Polynomial:
+    """Normal form of f by a linear scan for the largest remaining term.
+
+    The same division steps as cmreg.reduce, without its heap: at every step
+    the largest term left is divided by the first basis element whose
+    leading exponent divides it.
+    """
+    ring = f.ring
+    p = ring.p
+    heads = []
+    for g in basis:
+        e, c = g.leading_term()
+        heads.append((e, pow(c, -1, p), g))
+    work = dict(f.terms)
+    out: dict[Exponent, int] = {}
+    while work:
+        exp = max(work, key=revlex_key)
+        coeff = work.pop(exp)
+        for e, cinv, g in heads:
+            if exp_divides(e, exp):
+                shift = exp_sub(exp, e)
+                scale = coeff * cinv % p
+                for e2, c2 in g.terms:
+                    if e2 == e:
+                        continue
+                    target = tuple(a + b for a, b in zip(e2, shift))
+                    c = (work.get(target, 0) - scale * c2) % p
+                    if c:
+                        work[target] = c
+                    else:
+                        work.pop(target, None)
+                break
+        else:
+            out[exp] = coeff
+    return Polynomial.from_dict(ring, out)

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import random
+from itertools import product
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cmreg import (
     MonomialIdeal,
@@ -17,11 +20,12 @@ from cmreg import (
     matrix_digest,
     parse_polynomial,
     random_linear_change,
+    random_strongly_stable_ideal,
     reduce,
     s_polynomial,
     sample_change_matrix,
 )
-from conftest import monomial_curve, twisted_cubic
+from conftest import monomial_curve, monomial_gens, reduce_reference, twisted_cubic
 
 
 def test_twisted_cubic_is_its_own_reduced_basis():
@@ -62,6 +66,39 @@ def test_reduce_full_normal_form():
         assert reduce(b * b, basis).is_zero
 
 
+R7 = Ring(("x1", "x2", "x3"), 7)
+
+
+def homogeneous(degree: int):
+    """Nonzero homogeneous polynomials of the given degree over F_7."""
+    mons = [e for e in product(range(degree + 1), repeat=3) if sum(e) == degree]
+    return st.dictionaries(
+        st.sampled_from(mons), st.integers(1, 6), min_size=1
+    ).map(lambda terms: Polynomial.from_dict(R7, terms))
+
+
+@given(
+    f=st.integers(2, 5).flatmap(homogeneous),
+    basis=st.lists(st.integers(1, 3).flatmap(homogeneous), min_size=1, max_size=4),
+)
+def test_reduce_matches_linear_scan_reference(f, basis):
+    # over F_7 terms cancel often, which leaves stale entries in the heap
+    assert reduce(f, basis) == reduce_reference(f, basis)
+
+
+def test_reduce_term_cancelled_and_created_again():
+    # x2*x3 cancels when x1^2 is divided out and comes back when x1*x2 is;
+    # its stale heap entry is popped while x3^2 is still to be processed
+    f = parse_polynomial("x1^2 + x1*x2 + x2*x3 + x3^2", R7)
+    basis = [
+        parse_polynomial("x1^2 + x2*x3", R7),
+        parse_polynomial("x1*x2 - x2*x3", R7),
+    ]
+    expected = parse_polynomial("x2*x3 + x3^2", R7)
+    assert reduce(f, basis) == expected
+    assert reduce_reference(f, basis) == expected
+
+
 def test_reduction_to_zero_with_three_element_basis():
     ring = Ring(("x1", "x2", "x3", "x4"), 32003)
     f = parse_polynomial("x2^2 - x1*x3", ring)
@@ -98,11 +135,22 @@ def test_basis_invariant_under_permutation_and_scaling():
         assert set(buchberger(scaled)) == expected
 
 
-def test_chain_criterion_agrees():
+def test_basis_is_groebner_and_independent_of_generator_order():
+    rng = random.Random(3)
     for gens in [twisted_cubic(), monomial_curve(5, 2), monomial_curve(7, 3)]:
-        assert set(buchberger(gens)) == set(
-            buchberger(gens, use_chain_criterion=True)
-        )
+        basis = buchberger(gens)
+        assert is_groebner_basis(basis)
+        for _ in range(3):
+            shuffled = list(gens)
+            rng.shuffle(shuffled)
+            assert buchberger(shuffled) == basis
+
+
+def test_strongly_stable_monomial_input_keeps_its_ideal():
+    # 89 monomial generators: about 3,900 pairs in the queue
+    J = random_strongly_stable_ideal(11, 5, 8)
+    assert len(J.gens) == 89
+    assert initial_ideal(buchberger(monomial_gens(J))) == J
 
 
 def test_buchberger_rejects_bad_input():
