@@ -23,10 +23,10 @@ from cmreg import (
     a_def,
     corners,
     evaluate_zero,
-    exponent_set,
     is_artinian,
     is_c_finite,
     krull_dim,
+    max_degree,
     minimalize,
     r_def,
     r_value,
@@ -67,10 +67,10 @@ def run(config: SweepConfig) -> int:
         for i in range(ideal.s):
             level = evaluate_zero(ideal, i)
             nxt = evaluate_zero(ideal, i + 1)
-            if not is_c_finite(exponent_set(level), exponent_set(nxt)):
+            if not is_c_finite(level, nxt):
                 continue
             level_checks += 1
-            from_corners = corners(level).max_degree()
+            from_corners = max_degree(corners(level))
             from_definition = a_def(ideal, i)
             if from_corners != from_definition:
                 mismatches.append(

@@ -10,18 +10,16 @@ recomputes the same quantities straight from their definitions:
   found by counting standard monomials degree by degree.
 
 Both searches run up to a certified ceiling, so a persistent difference is
-reported as infinite rather than silently truncated.  cross_check replays
-the pipeline's retry transcript and compares every reported level value
-against its definitional counterpart on identical data.
+reported as infinite rather than silently truncated.  cross_check takes
+the level ideals the pipeline certified from its report and compares every
+reported level value against its definitional counterpart on exactly the
+ideal it was read from.
 """
 
 from __future__ import annotations
 
-import random
-from collections import deque
 from dataclasses import dataclass
 
-from .groebner import buchberger, initial_ideal, matrix_digest, random_linear_change
 from .monideal import (
     MonomialIdeal,
     difference_degree_counts,
@@ -30,10 +28,9 @@ from .monideal import (
     gap_search_ceiling,
     graded_dim_quotient,
     lcm_degree,
-    minimalize,
 )
-from .regularity import RegularityReport, Value, _evaluate_polys, _validated_basis, compute_report
-from .ring import Exponent, Polynomial
+from .regularity import RegularityReport, Value, compute_report
+from .ring import Polynomial
 from .staircase import NEG_INF
 
 POS_INF = float("inf")
@@ -118,32 +115,14 @@ def cross_check(
 ) -> CrossCheckRecord:
     """Run the pipeline, then recompute every level value definitionally.
 
-    The pipeline's retry transcript is replayed step by step (the matrix
-    digests must agree), so each reported value is compared against the
-    definitional value of exactly the data it was read from.
+    Each reported value is compared against the definitional value of the
+    level ideal it was read from, as recorded in report.levels (after any
+    coordinate changes the pipeline made).
     """
     report = compute_report(gens, seed=seed, max_retries=max_retries)
-    basis = _validated_basis(gens)
-    cur = initial_ideal(basis)
-    cur_gens = basis
-    base = 0
-    pending = deque(report.retries)
-
     checks: list[LevelCheck] = []
-    r_definition = 0
-    for i in range(report.d + 1):
-        while pending and pending[0].level == i:
-            rec = pending.popleft()
-            evaluated = _evaluate_polys(cur_gens, i - base)
-            transformed, matrix = random_linear_change(
-                evaluated, evaluated[0].ring.n, rec.seed
-            )
-            if matrix_digest(matrix) != rec.matrix_digest:
-                raise RuntimeError("retry replay produced a different matrix")
-            cur_gens = buchberger(transformed)
-            cur = initial_ideal(cur_gens)
-            base = i
-        value, _, ceiling = a_def_with_trace(cur, i - base)
+    for i, level in enumerate(report.levels):
+        value, _, ceiling = a_def_with_trace(level, 0)
         checks.append(
             LevelCheck(
                 level=i,
@@ -153,8 +132,7 @@ def cross_check(
                 match=value == report.c[i],
             )
         )
-        if i == report.d:
-            r_definition = r_def(evaluate_zero(cur, i - base))
+    r_definition = r_def(report.levels[report.d])
 
     r_match = r_definition == report.r
     ok = r_match and all(ch.match for ch in checks)
@@ -166,60 +144,3 @@ def cross_check(
         r_match=r_match,
         report=report,
     )
-
-
-def borel_closure(s: int, monomials: frozenset[Exponent] | set[Exponent]) -> frozenset[Exponent]:
-    """Close a set of exponents under moving one unit of any exponent to an
-    earlier position (x_j -> x_h with h < j)."""
-    seen: set[Exponent] = set()
-    queue = deque(tuple(m) for m in monomials)
-    while queue:
-        a = queue.popleft()
-        if a in seen:
-            continue
-        if len(a) != s:
-            raise ValueError(f"exponent {a} does not have {s} entries")
-        seen.add(a)
-        for j in range(s):
-            if a[j] == 0:
-                continue
-            for h in range(j):
-                b = list(a)
-                b[j] -= 1
-                b[h] += 1
-                queue.append(tuple(b))
-    return frozenset(seen)
-
-
-def is_strongly_stable(J: MonomialIdeal) -> bool:
-    """True when every one-unit move toward an earlier variable keeps each
-    generator inside the ideal."""
-    from .monideal import contains
-
-    for g in J.gens:
-        for j in range(J.s):
-            if g[j] == 0:
-                continue
-            for h in range(j):
-                b = list(g)
-                b[j] -= 1
-                b[h] += 1
-                if not contains(J, tuple(b)):
-                    return False
-    return True
-
-
-def random_strongly_stable_ideal(rng_seed: int, n: int, dmax: int) -> MonomialIdeal:
-    """Strongly stable monomial ideal generated by the closure of one to
-    three random monomials of positive degree."""
-    if n < 1 or dmax < 1:
-        raise ValueError("need at least one variable and positive degrees")
-    rng = random.Random(rng_seed)
-    seeds: set[Exponent] = set()
-    for _ in range(rng.randint(1, 3)):
-        degree = rng.randint(1, dmax)
-        exp = [0] * n
-        for _ in range(degree):
-            exp[rng.randrange(n)] += 1
-        seeds.add(tuple(exp))
-    return minimalize(n, borel_closure(n, seeds))

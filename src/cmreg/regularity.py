@@ -36,9 +36,9 @@ from .ring import Exponent, Polynomial, Ring, exp_degree
 from .staircase import (
     NEG_INF,
     corners,
-    exponent_set,
     is_artinian,
     is_c_finite,
+    max_degree,
 )
 
 Value = int | float  # a level value: a natural number or -infinity
@@ -73,10 +73,12 @@ class RegularityReport:
     bound: tuple[int, ...]
     attained_t: int
     retries: tuple[RetryRecord, ...]
+    levels: tuple[MonomialIdeal, ...]  # the certified level ideal J_i per level
 
     def validate(self) -> None:
         d = self.d
-        if not (len(self.c) == len(self.reg_t) == len(self.bound) == d + 1):
+        arrays = (self.c, self.reg_t, self.bound, self.levels)
+        if any(len(a) != d + 1 for a in arrays):
             raise RuntimeError("report arrays must have d + 1 entries")
         expected = self.r if d == 0 else max([*self.c[:d], self.r])
         if self.reg != expected:
@@ -165,16 +167,14 @@ def compute_report(
     corner_rows: list[tuple[Exponent, ...]] = []
     level_bounds: list[int] = []
     retries: list[RetryRecord] = []
+    levels: list[MonomialIdeal] = []
 
     for i in range(d + 1):
         attempt = 0
         while True:
             level_ideal = evaluate_zero(cur, i - base)
             if i < d:
-                ok = is_c_finite(
-                    exponent_set(level_ideal),
-                    exponent_set(evaluate_zero(cur, i + 1 - base)),
-                )
+                ok = is_c_finite(level_ideal, evaluate_zero(cur, i + 1 - base))
             else:
                 ok = is_artinian(level_ideal)
             if ok:
@@ -208,8 +208,9 @@ def compute_report(
         # would have failed either the previous finiteness check or the
         # Artinian check here
         F = corners(level_ideal)
-        c_values.append(F.max_degree())
-        corner_rows.append(tuple(sorted(F.elements)))
+        c_values.append(max_degree(F))
+        corner_rows.append(tuple(sorted(F)))
+        levels.append(level_ideal)
         level_bounds.append(exp_degree(level_ideal.max_exponents()) - n + i)
 
     r = int(c_values[d])
@@ -230,6 +231,7 @@ def compute_report(
         bound=bound,
         attained_t=attained_t,
         retries=tuple(retries),
+        levels=tuple(levels),
     )
     report.validate()
     return report
@@ -276,13 +278,13 @@ def curve_report(gens: list[Polynomial]) -> CurveReport:
         )
     level_one = evaluate_zero(full, 1)
     level_two = evaluate_zero(full, 2)
-    if not is_c_finite(exponent_set(level_one), exponent_set(level_two)):
+    if not is_c_finite(level_one, level_two):
         raise ValueError(
             "level-1 value is infinite despite Noether position; "
             "the input is not a saturated curve ideal"
         )
-    c1 = corners(level_one).max_degree()
-    r = int(corners(level_two).max_degree())
+    c1 = max_degree(corners(level_one))
+    r = int(max_degree(corners(level_two)))
     reg = int(max(c1, r))
 
     # the counting function of the added monomials must stabilize at the

@@ -73,18 +73,6 @@ def revlex_key(a: Exponent) -> tuple:
     return (sum(a), tuple(-x for x in reversed(a)))
 
 
-def revlex_compare(a: Exponent, b: Exponent) -> int:
-    """Return -1, 0 or 1 as x^a <, = or > x^b in graded revlex.
-
-    At equal total degree x^a > x^b exactly when the last nonzero entry
-    of a - b is negative.
-    """
-    if len(a) != len(b):
-        raise ValueError(f"exponent lengths differ: {len(a)} vs {len(b)}")
-    ka, kb = revlex_key(a), revlex_key(b)
-    return (ka > kb) - (ka < kb)
-
-
 # ---------------------------------------------------------------------------
 # ring and polynomials
 
@@ -353,11 +341,3 @@ def format_polynomial(f: Polynomial) -> str:
         else:
             pieces.append(f"- {body}" if negative else f"+ {body}")
     return " ".join(pieces)
-
-
-def parse_exponent(text: str, ring: Ring) -> Exponent:
-    """Parse a single monomial (one term, coefficient 1 mod scaling ignored)."""
-    f = parse_polynomial(text, ring)
-    if len(f.terms) != 1:
-        raise ParseError(f"expected a single monomial, got {len(f.terms)} terms")
-    return f.terms[0][0]

@@ -15,9 +15,7 @@ a badly positioned ideal underestimates an infinite value.
 
 from __future__ import annotations
 
-import itertools
 from collections import defaultdict
-from dataclasses import dataclass
 
 from .monideal import MonomialIdeal, contains
 from .ring import Exponent, exp_degree, exp_divides
@@ -25,27 +23,9 @@ from .ring import Exponent, exp_degree, exp_divides
 NEG_INF = float("-inf")
 
 
-@dataclass(frozen=True)
-class ExponentSet:
-    """Minimal generator exponents of an evaluation, with ambient count."""
-
-    s: int
-    elements: frozenset[Exponent]
-
-
-@dataclass(frozen=True)
-class CornerSet:
-    s: int
-    elements: frozenset[Exponent]
-
-    def max_degree(self) -> int | float:
-        if not self.elements:
-            return NEG_INF
-        return max(exp_degree(a) for a in self.elements)
-
-
-def exponent_set(J: MonomialIdeal) -> ExponentSet:
-    return ExponentSet(J.s, J.gens)
+def max_degree(exps: frozenset[Exponent]) -> int | float:
+    """Largest total degree in a set of exponents; -infinity when empty."""
+    return max((exp_degree(a) for a in exps), default=NEG_INF)
 
 
 def _delete(v: Exponent, j: int) -> Exponent:
@@ -53,38 +33,31 @@ def _delete(v: Exponent, j: int) -> Exponent:
     return v[: j - 1] + v[j:]
 
 
-def project(E: ExponentSet, j: int) -> ExponentSet:
-    """Image of E under deletion of the j-th coordinate (1-based)."""
-    if not 1 <= j <= E.s:
-        raise ValueError(f"coordinate {j} out of range for {E.s}")
-    return ExponentSet(E.s - 1, frozenset(_delete(a, j) for a in E.elements))
-
-
-def is_c_finite(E_level: ExponentSet, E_next: ExponentSet) -> bool:
+def is_c_finite(level: MonomialIdeal, nxt: MonomialIdeal) -> bool:
     """Certify that inverting the last live variable adds only finitely
     many monomials at this level.
 
-    E_level holds the generator exponents of the level ideal (s variables),
-    E_next those of the next evaluation (s - 1 variables).  The level value
-    is finite exactly when every projected generator a outside E_next is,
-    for each coordinate j of the smaller space, dominated by some element
-    of E_next once coordinate j is deleted from both.
+    level is the level ideal (s variables), nxt the next evaluation
+    (s - 1 variables).  The level value is finite exactly when every
+    projected generator a outside nxt's generators is, for each coordinate
+    j of the smaller space, dominated by some generator of nxt once
+    coordinate j is deleted from both.
     """
-    s = E_level.s
+    s = level.s
     if s < 1:
         raise ValueError("level ideal needs at least one variable")
-    if E_next.s != s - 1:
-        raise ValueError(f"next evaluation must have {s - 1} variables, got {E_next.s}")
-    difference = project(E_level, s).elements - E_next.elements
+    if nxt.s != s - 1:
+        raise ValueError(f"next evaluation must have {s - 1} variables, got {nxt.s}")
+    difference = {_delete(a, s) for a in level.gens} - nxt.gens
     for a in difference:
         for j in range(1, s):
             pa = _delete(a, j)
-            if not any(exp_divides(_delete(b, j), pa) for b in E_next.elements):
+            if not any(exp_divides(_delete(b, j), pa) for b in nxt.gens):
                 return False
     return True
 
 
-def corners(J: MonomialIdeal) -> CornerSet:
+def corners(J: MonomialIdeal) -> frozenset[Exponent]:
     """All socle exponents of J: a with x^a not in J, x_j * x^a in J for
     every j.
 
@@ -95,12 +68,12 @@ def corners(J: MonomialIdeal) -> CornerSet:
     """
     s = J.s
     if J.is_unit:
-        return CornerSet(s, frozenset())
+        return frozenset()
     if s == 0:
-        return CornerSet(0, frozenset({()}))
+        return frozenset({()})
     candidates = [sorted({g[j] - 1 for g in J.gens if g[j] >= 1}) for j in range(s)]
     if any(not c for c in candidates):
-        return CornerSet(s, frozenset())
+        return frozenset()
     by_last: dict[int, list[Exponent]] = defaultdict(list)
     for g in J.gens:
         by_last[max(k for k in range(s) if g[k])].append(g)
@@ -129,31 +102,7 @@ def corners(J: MonomialIdeal) -> CornerSet:
         prefix[pos] = 0
 
     walk(0)
-    return CornerSet(s, frozenset(found))
-
-
-def corners_reference(J: MonomialIdeal) -> CornerSet:
-    """Reference construction of the corner set, kept only to cross-check
-    corners(): enumerate families (v_1..v_s) of generators whose j-th
-    member strictly dominates the others in coordinate j, form the
-    componentwise maximum minus (1,..,1), and keep vectors outside J."""
-    s = J.s
-    if J.is_unit:
-        return CornerSet(s, frozenset())
-    if s == 0:
-        return CornerSet(0, frozenset({()}))
-    gens = J.sorted_gens()
-    found: set[Exponent] = set()
-    for family in itertools.product(gens, repeat=s):
-        if not all(
-            all(family[j][j] > family[h][j] for h in range(s) if h != j)
-            for j in range(s)
-        ):
-            continue
-        a = tuple(max(v[k] for v in family) - 1 for k in range(s))
-        if not contains(J, a):
-            found.add(a)
-    return CornerSet(s, frozenset(found))
+    return frozenset(found)
 
 
 def is_artinian(J: MonomialIdeal) -> bool:
@@ -163,15 +112,6 @@ def is_artinian(J: MonomialIdeal) -> bool:
         if not any(all(g[k] == 0 for k in range(J.s) if k != j) for g in J.gens):
             return False
     return True
-
-
-def c_value(J: MonomialIdeal, *, certified: bool) -> int | float:
-    """Level value from the corner maximum.  The caller must hold a
-    finiteness certificate from is_c_finite (or Artinianness); the corner
-    maximum of an uncertified level is meaningless."""
-    if not certified:
-        raise ValueError("c_value needs a finiteness certificate for this level")
-    return corners(J).max_degree()
 
 
 def r_value(J: MonomialIdeal) -> int:
@@ -184,7 +124,7 @@ def r_value(J: MonomialIdeal) -> int:
             "top evaluation is not Artinian: r is infinite "
             "(evaluations not in general position)"
         )
-    value = corners(J).max_degree()
+    value = max_degree(corners(J))
     if value == NEG_INF:
         raise AssertionError("unreachable: Artinian proper ideal has a corner")
     return int(value)

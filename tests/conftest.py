@@ -3,15 +3,19 @@ reference implementations."""
 
 from __future__ import annotations
 
+import itertools
 import random
+from collections import deque
 
 from hypothesis import HealthCheck, settings
 
 from cmreg import (
     DEFAULT_CHAR,
     MonomialIdeal,
+    ParseError,
     Polynomial,
     Ring,
+    contains,
     minimalize,
     parse_polynomial,
     revlex_key,
@@ -116,3 +120,102 @@ def reduce_reference(f: Polynomial, basis: list[Polynomial]) -> Polynomial:
         else:
             out[exp] = coeff
     return Polynomial.from_dict(ring, out)
+
+
+def revlex_compare(a: Exponent, b: Exponent) -> int:
+    """Return -1, 0 or 1 as x^a <, = or > x^b in graded revlex.
+
+    At equal total degree x^a > x^b exactly when the last nonzero entry
+    of a - b is negative.
+    """
+    if len(a) != len(b):
+        raise ValueError(f"exponent lengths differ: {len(a)} vs {len(b)}")
+    ka, kb = revlex_key(a), revlex_key(b)
+    return (ka > kb) - (ka < kb)
+
+
+def parse_exponent(text: str, ring: Ring) -> Exponent:
+    """Parse a single monomial (one term, coefficient 1 mod scaling ignored)."""
+    f = parse_polynomial(text, ring)
+    if len(f.terms) != 1:
+        raise ParseError(f"expected a single monomial, got {len(f.terms)} terms")
+    return f.terms[0][0]
+
+
+def corners_reference(J: MonomialIdeal) -> frozenset[Exponent]:
+    """Reference construction of the corner set, kept only to cross-check
+    cmreg.corners: enumerate families (v_1..v_s) of generators whose j-th
+    member strictly dominates the others in coordinate j, form the
+    componentwise maximum minus (1,..,1), and keep vectors outside J."""
+    s = J.s
+    if J.is_unit:
+        return frozenset()
+    if s == 0:
+        return frozenset({()})
+    gens = J.sorted_gens()
+    found: set[Exponent] = set()
+    for family in itertools.product(gens, repeat=s):
+        if not all(
+            all(family[j][j] > family[h][j] for h in range(s) if h != j)
+            for j in range(s)
+        ):
+            continue
+        a = tuple(max(v[k] for v in family) - 1 for k in range(s))
+        if not contains(J, a):
+            found.add(a)
+    return frozenset(found)
+
+
+def borel_closure(s: int, monomials: frozenset[Exponent] | set[Exponent]) -> frozenset[Exponent]:
+    """Close a set of exponents under moving one unit of any exponent to an
+    earlier position (x_j -> x_h with h < j)."""
+    seen: set[Exponent] = set()
+    queue = deque(tuple(m) for m in monomials)
+    while queue:
+        a = queue.popleft()
+        if a in seen:
+            continue
+        if len(a) != s:
+            raise ValueError(f"exponent {a} does not have {s} entries")
+        seen.add(a)
+        for j in range(s):
+            if a[j] == 0:
+                continue
+            for h in range(j):
+                b = list(a)
+                b[j] -= 1
+                b[h] += 1
+                queue.append(tuple(b))
+    return frozenset(seen)
+
+
+def is_strongly_stable(J: MonomialIdeal) -> bool:
+    """True when every one-unit move toward an earlier variable keeps each
+    generator inside the ideal."""
+    for g in J.gens:
+        for j in range(J.s):
+            if g[j] == 0:
+                continue
+            for h in range(j):
+                b = list(g)
+                b[j] -= 1
+                b[h] += 1
+                if not contains(J, tuple(b)):
+                    return False
+    return True
+
+
+def random_strongly_stable_ideal(rng_seed: int, n: int, dmax: int) -> MonomialIdeal:
+    """Strongly stable monomial ideal generated by the closure of one to
+    three random monomials of positive degree."""
+    if n < 1 or dmax < 1:
+        raise ValueError("need at least one variable and positive degrees")
+    rng = random.Random(rng_seed)
+    seeds: set[Exponent] = set()
+    for _ in range(rng.randint(1, 3)):
+        degree = rng.randint(1, dmax)
+        exp = [0] * n
+        for _ in range(degree):
+            exp[rng.randrange(n)] += 1
+        seeds.add(tuple(exp))
+    return minimalize(n, borel_closure(n, seeds))

@@ -20,12 +20,17 @@ from cmreg import (
     matrix_digest,
     parse_polynomial,
     random_linear_change,
-    random_strongly_stable_ideal,
     reduce,
     s_polynomial,
     sample_change_matrix,
 )
-from conftest import monomial_curve, monomial_gens, reduce_reference, twisted_cubic
+from conftest import (
+    monomial_curve,
+    monomial_gens,
+    random_strongly_stable_ideal,
+    reduce_reference,
+    twisted_cubic,
+)
 
 
 def test_twisted_cubic_is_its_own_reduced_basis():

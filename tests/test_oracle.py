@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -13,20 +14,25 @@ from cmreg import (
     MonomialIdeal,
     a_def,
     a_def_with_trace,
-    borel_closure,
     colon_by_var,
     compute_report,
     cross_check,
     difference_degree_counts,
     evaluate_zero,
     gap_search_ceiling,
-    is_strongly_stable,
     minimalize,
     r_def,
-    random_strongly_stable_ideal,
     saturate_by_var,
 )
-from conftest import monomial_curve, monomial_gens, random_monomial_ideal, twisted_cubic
+from conftest import (
+    borel_closure,
+    is_strongly_stable,
+    monomial_curve,
+    monomial_gens,
+    random_monomial_ideal,
+    random_strongly_stable_ideal,
+    twisted_cubic,
+)
 
 CURVE_INITIAL = MonomialIdeal(
     4, frozenset({(1, 1, 0, 0), (0, 5, 0, 0), (3, 0, 2, 0), (4, 0, 1, 0), (5, 0, 0, 0)})
@@ -139,6 +145,26 @@ def test_cross_check_replays_retries():
     assert len(record.report.retries) == 1
     assert record.levels[0].a_definition == NEG_INF
     assert record.levels[1].a_definition == 1
+    # (x2) retries at level 1, so levels 1 and 2 are read after the change
+    record = cross_check(monomial_gens(MonomialIdeal(3, frozenset({(0, 1, 0)}))))
+    assert record.ok
+    assert [rec.level for rec in record.report.retries] == [1]
+    assert [ch.a_definition for ch in record.levels] == [NEG_INF, NEG_INF, 0]
+    assert record.r_definition == 0
+
+
+def test_cross_check_flags_a_wrong_level_value(monkeypatch):
+    import cmreg.oracle
+
+    def doctored(gens, **kwargs):
+        report = compute_report(gens, **kwargs)
+        return dataclasses.replace(report, c=(report.c[0], 7, *report.c[2:]))
+
+    monkeypatch.setattr(cmreg.oracle, "compute_report", doctored)
+    record = cross_check(twisted_cubic())
+    assert not record.ok
+    assert [ch.match for ch in record.levels] == [True, False, True]
+    assert record.r_match
 
 
 def test_cross_check_matches_compute_report():
@@ -183,11 +209,11 @@ def test_koszul_regularity_on_complete_intersections():
 
 @given(ideals)
 def test_a_def_agrees_with_corners_on_certified_levels(J):
-    from cmreg import corners, exponent_set, is_c_finite
+    from cmreg import corners, is_c_finite, max_degree
 
     for i in range(J.s):
         level = evaluate_zero(J, i)
         nxt = evaluate_zero(J, i + 1)
-        if not is_c_finite(exponent_set(level), exponent_set(nxt)):
+        if not is_c_finite(level, nxt):
             continue
-        assert corners(level).max_degree() == a_def(J, i)
+        assert max_degree(corners(level)) == a_def(J, i)

@@ -12,10 +12,15 @@ from cmreg import (
     Polynomial,
     Ring,
     apply_linear_change,
+    buchberger,
     compute_report,
+    corners,
     curve_report,
     derive_matrix_seed,
+    evaluate_zero,
+    initial_ideal,
     matrix_digest,
+    max_degree,
     parse_polynomial,
     reg_bound,
     sample_change_matrix,
@@ -135,6 +140,36 @@ def test_retry_transform_is_sound():
     assert replay.c == report.c
 
 
+def test_retry_transcript_above_level_zero():
+    """The ideal (x2) needs a coordinate change at level 1.  Each record
+    must name the seed of the retry chain and the digest of the matrix that
+    seed draws for the coordinates still live at its level, and the level
+    ideals kept in the report must carry the reported corners."""
+    n, p = 3, 32003
+    report = compute_report(monomial_gens(MonomialIdeal(n, frozenset({(0, 1, 0)})), p))
+    assert [(rec.level, rec.attempt) for rec in report.retries] == [(1, 1)]
+    for rec in report.retries:
+        assert rec.seed == derive_matrix_seed(0, rec.level, rec.attempt)
+        matrix = sample_change_matrix(p, n - rec.level, rec.seed)
+        assert rec.matrix_digest == matrix_digest(matrix)
+    assert len(report.levels) == report.d + 1
+    for i, level in enumerate(report.levels):
+        assert level.s == n - i
+        assert tuple(sorted(corners(level))) == report.corners[i]
+        assert max_degree(corners(level)) == report.c[i]
+
+
+def test_levels_are_evaluations_of_the_initial_ideal_without_retries():
+    gens = twisted_cubic()
+    report = compute_report(gens)
+    assert report.retries == ()
+    full = initial_ideal(buchberger(gens))
+    assert report.levels == tuple(evaluate_zero(full, i) for i in range(report.d + 1))
+    for i, level in enumerate(report.levels):
+        assert tuple(sorted(corners(level))) == report.corners[i]
+        assert max_degree(corners(level)) == report.c[i]
+
+
 def test_retries_exhausted_is_reported():
     from cmreg import RetriesExhaustedError
 
@@ -174,6 +209,9 @@ def test_validate_rejects_doctored_reports():
     inflated = dataclasses.replace(report, reg_t=(5, 5, report.reg))
     with pytest.raises(RuntimeError):
         inflated.validate()
+    truncated = dataclasses.replace(report, levels=report.levels[:-1])
+    with pytest.raises(RuntimeError):
+        truncated.validate()
 
 
 def test_reg_bound_levels():

@@ -13,11 +13,10 @@ from cmreg import (
     Polynomial,
     Ring,
     format_polynomial,
-    parse_exponent,
     parse_polynomial,
-    revlex_compare,
     revlex_key,
 )
+from conftest import parse_exponent, revlex_compare
 
 R3 = Ring(("x1", "x2", "x3"), 101)
 

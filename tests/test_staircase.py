@@ -11,18 +11,16 @@ from hypothesis import strategies as st
 from cmreg import (
     NEG_INF,
     MonomialIdeal,
-    c_value,
     contains,
     corners,
-    corners_reference,
     evaluate_zero,
     exp_add,
-    exponent_set,
     is_artinian,
     is_c_finite,
+    max_degree,
     r_value,
 )
-from conftest import random_monomial_ideal
+from conftest import corners_reference, random_monomial_ideal
 
 CURVE_INITIAL = MonomialIdeal(
     4, frozenset({(1, 1, 0, 0), (0, 5, 0, 0), (3, 0, 2, 0), (4, 0, 1, 0), (5, 0, 0, 0)})
@@ -35,30 +33,30 @@ ideals = st.integers(0, 10_000).map(
 
 def test_corner_fixtures_for_the_curve_levels():
     level1 = evaluate_zero(CURVE_INITIAL, 1)
-    assert corners(level1).elements == frozenset({(3, 0, 1), (4, 0, 0)})
+    assert corners(level1) == frozenset({(3, 0, 1), (4, 0, 0)})
     level2 = evaluate_zero(CURVE_INITIAL, 2)
-    assert corners(level2).elements == frozenset({(0, 4), (4, 0)})
-    assert corners(level2).max_degree() == 4
+    assert corners(level2) == frozenset({(0, 4), (4, 0)})
+    assert max_degree(corners(level2)) == 4
 
 
 def test_corners_of_simple_artinian_ideal():
     J = MonomialIdeal(2, frozenset({(2, 0), (0, 3)}))
-    assert corners(J).elements == frozenset({(1, 2)})
+    assert corners(J) == frozenset({(1, 2)})
     assert r_value(J) == 3
 
 
 def test_corners_edge_cases():
-    assert corners(MonomialIdeal(2, frozenset({(0, 0)}))).elements == frozenset()
-    assert corners(MonomialIdeal(0, frozenset())).elements == frozenset({()})
-    assert corners(MonomialIdeal(2, frozenset())).elements == frozenset()
-    assert corners(MonomialIdeal(2, frozenset())).max_degree() == NEG_INF
+    assert corners(MonomialIdeal(2, frozenset({(0, 0)}))) == frozenset()
+    assert corners(MonomialIdeal(0, frozenset())) == frozenset({()})
+    assert corners(MonomialIdeal(2, frozenset())) == frozenset()
+    assert max_degree(corners(MonomialIdeal(2, frozenset()))) == NEG_INF
 
 
 def test_corners_require_every_step_up_to_land_inside():
     J = MonomialIdeal(2, frozenset({(1, 1), (0, 5), (5, 0)}))
     F = corners(J)
-    assert F.elements == frozenset({(0, 4), (4, 0)})
-    for a in F.elements:
+    assert F == frozenset({(0, 4), (4, 0)})
+    for a in F:
         assert not contains(J, a)
         for j in range(J.s):
             step = tuple(1 if k == j else 0 for k in range(J.s))
@@ -67,32 +65,32 @@ def test_corners_require_every_step_up_to_land_inside():
 
 @given(ideals)
 def test_corner_enumeration_matches_reference_construction(J):
-    assert corners(J).elements == corners_reference(J).elements
+    assert corners(J) == corners_reference(J)
 
 
 def test_is_c_finite_certificate():
-    E1 = exponent_set(evaluate_zero(CURVE_INITIAL, 1))
-    E2 = exponent_set(evaluate_zero(CURVE_INITIAL, 2))
-    assert is_c_finite(E1, E2)
+    J1 = evaluate_zero(CURVE_INITIAL, 1)
+    J2 = evaluate_zero(CURVE_INITIAL, 2)
+    assert is_c_finite(J1, J2)
 
 
 def test_is_c_finite_fails_on_vanishing_next_level():
-    E = exponent_set(MonomialIdeal(2, frozenset({(1, 1)})))
-    empty = exponent_set(MonomialIdeal(1, frozenset()))
-    assert not is_c_finite(E, empty)
+    J = MonomialIdeal(2, frozenset({(1, 1)}))
+    empty = MonomialIdeal(1, frozenset())
+    assert not is_c_finite(J, empty)
 
 
 def test_is_c_finite_vacuous_in_one_variable():
-    E = exponent_set(MonomialIdeal(1, frozenset({(3,)})))
-    nxt = exponent_set(MonomialIdeal(0, frozenset()))
-    assert is_c_finite(E, nxt)
+    J = MonomialIdeal(1, frozenset({(3,)}))
+    nxt = MonomialIdeal(0, frozenset())
+    assert is_c_finite(J, nxt)
 
 
 def test_is_c_finite_checks_shapes():
-    E1 = exponent_set(MonomialIdeal(3, frozenset({(1, 0, 0)})))
-    bad = exponent_set(MonomialIdeal(3, frozenset({(1, 0, 0)})))
+    J1 = MonomialIdeal(3, frozenset({(1, 0, 0)}))
+    bad = MonomialIdeal(3, frozenset({(1, 0, 0)}))
     with pytest.raises(ValueError):
-        is_c_finite(E1, bad)
+        is_c_finite(J1, bad)
 
 
 def test_is_artinian():
@@ -104,16 +102,17 @@ def test_is_artinian():
     assert not is_artinian(MonomialIdeal(2, frozenset()))
 
 
-def test_c_value_requires_certificate():
+def test_max_degree_of_certified_curve_level():
     J = evaluate_zero(CURVE_INITIAL, 1)
-    with pytest.raises(ValueError):
-        c_value(J, certified=False)
-    assert c_value(J, certified=True) == 4
+    assert is_c_finite(J, evaluate_zero(CURVE_INITIAL, 2))
+    assert max_degree(corners(J)) == 4
 
 
-def test_c_value_negative_infinity_when_no_corners():
+def test_max_degree_negative_infinity_when_no_corners():
     J = MonomialIdeal(2, frozenset({(2, 0)}))
-    assert c_value(J, certified=True) == NEG_INF
+    assert corners(J) == frozenset()
+    assert max_degree(corners(J)) == NEG_INF
+    assert max_degree(frozenset()) == NEG_INF
 
 
 def test_r_value_gates():
@@ -130,10 +129,10 @@ def test_corner_degree_bounded_by_lcm(J):
     from cmreg import lcm_degree
 
     F = corners(J)
-    if not F.elements:
+    if not F:
         return
     bound = lcm_degree(J, 0) - J.s
-    assert F.max_degree() <= bound
+    assert max_degree(F) <= bound
 
 
 @given(ideals)
