@@ -23,14 +23,13 @@ from cmreg import (
     a_def,
     corners,
     evaluate_zero,
-    is_artinian,
     is_c_finite,
     krull_dim,
     max_degree,
     minimalize,
     r_def,
-    r_value,
 )
+from cmreg.staircase import is_artinian
 
 
 @dataclass(frozen=True)
@@ -80,7 +79,7 @@ def run(config: SweepConfig) -> int:
         top = evaluate_zero(ideal, krull_dim(ideal))
         if not top.is_unit and is_artinian(top):
             r_checks += 1
-            via_corners = r_value(top)
+            via_corners = max_degree(corners(top))
             via_definition = r_def(top)
             if via_corners != via_definition:
                 mismatches.append(

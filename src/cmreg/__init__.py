@@ -5,133 +5,61 @@ S = F_p[x_1..x_n] by reading staircase corners off evaluations of the
 reverse-lex initial ideal, with seeded coordinate changes when an
 evaluation is not in general position and a definitional oracle that
 recomputes every reported value independently.
+
+The names below are the entry points the README documents; everything
+else is imported from its submodule.
 """
 
-from .groebner import (
-    apply_linear_change,
-    buchberger,
-    initial_ideal,
-    is_groebner_basis,
-    matrix_digest,
-    random_linear_change,
-    reduce,
-    s_polynomial,
-    sample_change_matrix,
-)
 from .monideal import (
     MonomialIdeal,
     colon_by_var,
-    contains,
-    difference_degree_counts,
-    evaluate_one,
     evaluate_zero,
-    gap_search_ceiling,
     graded_dim_quotient,
     krull_dim,
-    lcm_degree,
-    lcm_gens,
     minimalize,
     saturate_by_var,
 )
-from .oracle import (
-    CrossCheckRecord,
-    LevelCheck,
-    a_def,
-    a_def_with_trace,
-    cross_check,
-    r_def,
-)
+from .oracle import CrossCheckRecord, a_def, cross_check, r_def
 from .regularity import (
     CurveReport,
     RegularityReport,
     RetriesExhaustedError,
-    RetryRecord,
     compute_report,
     curve_report,
-    derive_matrix_seed,
     reg_bound,
     zerodivisor_flags,
 )
-from .ring import (
-    DEFAULT_CHAR,
-    ParseError,
-    Polynomial,
-    Ring,
-    exp_add,
-    exp_degree,
-    exp_divides,
-    exp_lcm,
-    exp_sub,
-    format_polynomial,
-    is_prime,
-    parse_polynomial,
-    revlex_key,
-)
-from .staircase import (
-    NEG_INF,
-    corners,
-    is_artinian,
-    is_c_finite,
-    max_degree,
-    r_value,
-)
+from .ring import DEFAULT_CHAR, ParseError, Polynomial, Ring, parse_polynomial
+from .staircase import NEG_INF, corners, is_c_finite, max_degree
 
 __version__ = "0.1.0"
 
 __all__ = [
+    "Ring",
+    "Polynomial",
+    "parse_polynomial",
+    "ParseError",
     "DEFAULT_CHAR",
     "NEG_INF",
-    "CrossCheckRecord",
-    "CurveReport",
-    "LevelCheck",
-    "MonomialIdeal",
-    "ParseError",
-    "Polynomial",
+    "compute_report",
     "RegularityReport",
     "RetriesExhaustedError",
-    "RetryRecord",
-    "Ring",
-    "a_def",
-    "a_def_with_trace",
-    "apply_linear_change",
-    "buchberger",
-    "colon_by_var",
-    "compute_report",
-    "contains",
-    "corners",
-    "cross_check",
     "curve_report",
-    "derive_matrix_seed",
-    "difference_degree_counts",
-    "evaluate_one",
-    "evaluate_zero",
-    "exp_add",
-    "exp_degree",
-    "exp_divides",
-    "exp_lcm",
-    "exp_sub",
-    "format_polynomial",
-    "gap_search_ceiling",
-    "graded_dim_quotient",
-    "initial_ideal",
-    "is_artinian",
-    "is_c_finite",
-    "is_groebner_basis",
-    "is_prime",
-    "krull_dim",
-    "lcm_degree",
-    "lcm_gens",
-    "matrix_digest",
-    "max_degree",
-    "minimalize",
-    "parse_polynomial",
-    "r_def",
-    "r_value",
-    "random_linear_change",
-    "reduce",
+    "CurveReport",
+    "cross_check",
+    "CrossCheckRecord",
     "reg_bound",
-    "revlex_key",
-    "s_polynomial",
-    "sample_change_matrix",
     "zerodivisor_flags",
+    "MonomialIdeal",
+    "minimalize",
+    "evaluate_zero",
+    "saturate_by_var",
+    "colon_by_var",
+    "krull_dim",
+    "graded_dim_quotient",
+    "corners",
+    "max_degree",
+    "is_c_finite",
+    "a_def",
+    "r_def",
 ]

@@ -25,7 +25,6 @@ import argparse
 import json
 import sys
 
-from .monideal import MonomialIdeal
 from .oracle import CrossCheckRecord, cross_check
 from .regularity import (
     CurveReport,

@@ -41,9 +41,6 @@ class MonomialIdeal:
     def is_unit(self) -> bool:
         return (0,) * self.s in self.gens
 
-    def sorted_gens(self) -> list[Exponent]:
-        return sorted(self.gens)
-
     def max_exponents(self) -> Exponent:
         """Componentwise maximum over the generators (the lcm exponent)."""
         if not self.gens:
@@ -159,18 +156,11 @@ def krull_dim(J: MonomialIdeal) -> int:
     raise AssertionError("unreachable: full variable set always covers")
 
 
-def lcm_gens(J: MonomialIdeal, i: int) -> Exponent | None:
-    """Componentwise maximum of the generators surviving evaluation of the
+def lcm_degree(J: MonomialIdeal, i: int) -> int | None:
+    """Degree of the lcm of the generators surviving evaluation of the
     last i variables, or None when none survive."""
     Ji = evaluate_zero(J, i)
-    if Ji.is_zero:
-        return None
-    return Ji.max_exponents()
-
-
-def lcm_degree(J: MonomialIdeal, i: int) -> int | None:
-    v = lcm_gens(J, i)
-    return None if v is None else exp_degree(v)
+    return None if Ji.is_zero else exp_degree(Ji.max_exponents())
 
 
 def difference_degree_counts(

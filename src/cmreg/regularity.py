@@ -21,18 +21,11 @@ max(deg g_i - n + i, i <= t) are reported per level.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .groebner import buchberger, initial_ideal, matrix_digest, random_linear_change
-from .monideal import (
-    MonomialIdeal,
-    difference_degree_counts,
-    evaluate_zero,
-    gap_search_ceiling,
-    krull_dim,
-    lcm_degree,
-    saturate_by_var,
-)
-from .ring import Exponent, Polynomial, Ring, exp_degree
+from .monideal import MonomialIdeal, evaluate_zero, krull_dim, lcm_degree
+from .ring import Exponent, Polynomial, Ring
 from .staircase import (
     NEG_INF,
     corners,
@@ -97,11 +90,6 @@ class RegularityReport:
                     f"{self.reg_t[t]} > {self.bound[t]}"
                 )
 
-    @property
-    def ell_reg(self) -> dict[int, Value]:
-        """The same partial values indexed by n - t."""
-        return {self.n - t: self.reg_t[t] for t in range(self.d + 1)}
-
 
 @dataclass(frozen=True)
 class CurveReport:
@@ -154,6 +142,8 @@ def compute_report(
     gens: list[Polynomial], *, seed: int = 0, max_retries: int = 10
 ) -> RegularityReport:
     """Full regularity report for the ideal generated by gens."""
+    if max_retries < 0:
+        raise ValueError(f"max_retries must be nonnegative, got {max_retries}")
     basis = _validated_basis(gens)
     ring = gens[0].ring
     n = ring.n
@@ -165,7 +155,7 @@ def compute_report(
     base = 0  # how many trailing variables the current data already drops
     c_values: list[Value] = []
     corner_rows: list[tuple[Exponent, ...]] = []
-    level_bounds: list[int] = []
+    level_bounds: list[Value] = []
     retries: list[RetryRecord] = []
     levels: list[MonomialIdeal] = []
 
@@ -211,12 +201,12 @@ def compute_report(
         c_values.append(max_degree(F))
         corner_rows.append(tuple(sorted(F)))
         levels.append(level_ideal)
-        level_bounds.append(exp_degree(level_ideal.max_exponents()) - n + i)
+        level_bounds.append(_level_bound(level_ideal, n, i))
 
     r = int(c_values[d])
     reg = int(max([*c_values[:d], r]))
-    reg_t = tuple(max(c_values[: t + 1]) for t in range(d + 1))
-    bound = tuple(max(level_bounds[: t + 1]) for t in range(d + 1))
+    reg_t = tuple(accumulate(c_values, max))
+    bound = tuple(accumulate(level_bounds, max))
     top = max(c_values)
     attained_t = min(t for t in range(d + 1) if c_values[t] == top)
     report = RegularityReport(
@@ -237,17 +227,19 @@ def compute_report(
     return report
 
 
+def _level_bound(level: MonomialIdeal, n: int, i: int) -> Value:
+    """Lcm degree bound of level i, read off its level ideal J_i:
+    deg lcm(gens of J_i) - n + i; -infinity when no generator survives."""
+    deg = lcm_degree(level, 0)
+    return NEG_INF if deg is None else deg - n + i
+
+
 def reg_bound(J: MonomialIdeal, t: int) -> Value:
     """Lcm degree bound max(deg g_i - s + i, i <= t) over the levels of J
     with surviving generators; -infinity when none survive."""
     if not 0 <= t <= J.s:
         raise ValueError(f"partial index {t} out of range")
-    values = []
-    for i in range(t + 1):
-        deg = lcm_degree(J, i)
-        if deg is not None:
-            values.append(deg - J.s + i)
-    return max(values) if values else NEG_INF
+    return max(_level_bound(evaluate_zero(J, i), J.s, i) for i in range(t + 1))
 
 
 def zerodivisor_flags(report: RegularityReport) -> list[bool]:
@@ -269,7 +261,7 @@ def curve_report(gens: list[Polynomial]) -> CurveReport:
     n = ring.n
     full = initial_ideal(basis)
     d = krull_dim(full)
-    if d != 2 or n < 2 or not is_artinian(evaluate_zero(full, 2)):
+    if d != 2 or not is_artinian(evaluate_zero(full, 2)):
         return CurveReport(noether_ok=False)
     if any(g[n - 1] > 0 for g in full.gens):
         raise ValueError(
@@ -289,14 +281,12 @@ def curve_report(gens: list[Polynomial]) -> CurveReport:
 
     # the counting function of the added monomials must stabilize at the
     # same degree the corner route produced
-    ceiling = gap_search_ceiling(level_one)
-    counts = difference_degree_counts(
-        level_one, saturate_by_var(level_one, level_one.s), ceiling
-    )
-    if counts.get(ceiling, 0) > 0:
+    from .oracle import POS_INF, a_def  # oracle imports this module
+
+    gap = a_def(level_one, 0)
+    if gap == POS_INF:
         raise RuntimeError("saturation gap persists beyond the certified ceiling")
-    positive = [deg for deg, cnt in counts.items() if cnt > 0]
-    h_re_direct = max(positive) if positive else 0
+    h_re_direct = 0 if gap == NEG_INF else int(gap)
     h_re_formula = 0 if c1 == NEG_INF else int(c1)
     if h_re_direct != h_re_formula:
         raise RuntimeError(

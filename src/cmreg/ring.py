@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 DEFAULT_CHAR = 32003
 
@@ -171,12 +171,6 @@ class Polynomial:
 
     def is_homogeneous(self) -> bool:
         return len({exp_degree(e) for e, _ in self.terms}) <= 1
-
-    def coefficient(self, exp: Exponent) -> int:
-        for e, c in self.terms:
-            if e == exp:
-                return c
-        return 0
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)

@@ -113,18 +113,3 @@ def is_artinian(J: MonomialIdeal) -> bool:
             return False
     return True
 
-
-def r_value(J: MonomialIdeal) -> int:
-    """Top degree of a standard monomial of an Artinian evaluation, read
-    off as the maximal corner degree."""
-    if J.is_unit:
-        raise ValueError("unit ideal: the quotient is zero")
-    if not is_artinian(J):
-        raise ValueError(
-            "top evaluation is not Artinian: r is infinite "
-            "(evaluations not in general position)"
-        )
-    value = max_degree(corners(J))
-    if value == NEG_INF:
-        raise AssertionError("unreachable: Artinian proper ideal has a corner")
-    return int(value)

@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from cmreg import DEFAULT_CHAR, ParseError, format_polynomial
+from cmreg import DEFAULT_CHAR, ParseError
 from cmreg.cli import format_input, main, parse_input
+from cmreg.ring import format_polynomial
 from conftest import monomial_curve, twisted_cubic
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -220,6 +221,16 @@ def test_exit_code_retries_exhausted(tmp_path, capsys):
     path = write(tmp_path, RETRY_TEXT)
     assert main(["compute", path, "--max-retries", "0"]) == 3
     assert "level 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["compute", "oracle"])
+@pytest.mark.parametrize("text", ["ring 32003 x y z\nx*y\n", TWISTED_TEXT])
+def test_exit_code_negative_max_retries(tmp_path, capsys, command, text):
+    path = write(tmp_path, text)
+    assert main([command, path, "--max-retries", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "max_retries must be nonnegative" in captured.err
 
 
 def test_exit_code_oracle_mismatch(tmp_path, capsys, monkeypatch):

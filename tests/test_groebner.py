@@ -9,16 +9,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cmreg import (
-    MonomialIdeal,
-    Polynomial,
-    Ring,
+from cmreg import MonomialIdeal, Polynomial, Ring, parse_polynomial
+from cmreg.groebner import (
     apply_linear_change,
     buchberger,
     initial_ideal,
     is_groebner_basis,
     matrix_digest,
-    parse_polynomial,
     random_linear_change,
     reduce,
     s_polynomial,

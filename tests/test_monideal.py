@@ -11,17 +11,18 @@ from hypothesis import strategies as st
 from cmreg import (
     MonomialIdeal,
     colon_by_var,
+    evaluate_zero,
+    graded_dim_quotient,
+    krull_dim,
+    minimalize,
+    saturate_by_var,
+)
+from cmreg.monideal import (
     contains,
     difference_degree_counts,
     evaluate_one,
-    evaluate_zero,
     gap_search_ceiling,
-    graded_dim_quotient,
-    krull_dim,
     lcm_degree,
-    lcm_gens,
-    minimalize,
-    saturate_by_var,
 )
 from conftest import random_monomial_ideal
 
@@ -161,12 +162,12 @@ def test_graded_dim_counts_standard_monomials(J, r):
     assert graded_dim_quotient(J, r) == expected
 
 
-def test_lcm_gens_and_degree():
-    assert lcm_gens(CURVE_INITIAL, 0) == (5, 5, 2, 0)
+def test_lcm_degree():
+    assert CURVE_INITIAL.max_exponents() == (5, 5, 2, 0)
     assert lcm_degree(CURVE_INITIAL, 0) == 12
     assert lcm_degree(CURVE_INITIAL, 2) == 10
     assert lcm_degree(MonomialIdeal(2, frozenset({(1, 1)})), 1) is None
-    assert lcm_gens(MonomialIdeal(2, frozenset()), 0) is None
+    assert lcm_degree(MonomialIdeal(2, frozenset()), 0) is None
 
 
 def test_difference_degree_counts_finite_gap():

@@ -13,17 +13,16 @@ from cmreg import (
     NEG_INF,
     MonomialIdeal,
     a_def,
-    a_def_with_trace,
     colon_by_var,
     compute_report,
     cross_check,
-    difference_degree_counts,
     evaluate_zero,
-    gap_search_ceiling,
     minimalize,
     r_def,
     saturate_by_var,
 )
+from cmreg.monideal import difference_degree_counts, gap_search_ceiling
+from cmreg.oracle import a_def_with_trace
 from conftest import (
     borel_closure,
     is_strongly_stable,

@@ -11,22 +11,29 @@ from cmreg import (
     MonomialIdeal,
     Polynomial,
     Ring,
-    apply_linear_change,
-    buchberger,
     compute_report,
     corners,
     curve_report,
-    derive_matrix_seed,
     evaluate_zero,
-    initial_ideal,
-    matrix_digest,
     max_degree,
     parse_polynomial,
     reg_bound,
-    sample_change_matrix,
     zerodivisor_flags,
 )
-from conftest import monomial_curve, monomial_gens, twisted_cubic
+from cmreg.groebner import (
+    apply_linear_change,
+    buchberger,
+    initial_ideal,
+    matrix_digest,
+    sample_change_matrix,
+)
+from cmreg.regularity import derive_matrix_seed
+from conftest import (
+    monomial_curve,
+    monomial_gens,
+    random_strongly_stable_ideal,
+    twisted_cubic,
+)
 
 CURVE_INITIAL = MonomialIdeal(
     4, frozenset({(1, 1, 0, 0), (0, 5, 0, 0), (3, 0, 2, 0), (4, 0, 1, 0), (5, 0, 0, 0)})
@@ -45,7 +52,6 @@ def test_twisted_cubic_report():
     assert report.attained_t == 2
     assert report.retries == ()
     assert report.corners == ((), (), ((0, 1), (1, 0)))
-    assert report.ell_reg == {4: NEG_INF, 3: NEG_INF, 2: 1}
 
 
 def test_curve_family_reports():
@@ -201,6 +207,13 @@ def test_input_validation():
         compute_report([parse_polynomial("x1^2 + x2", ring)])
 
 
+def test_negative_max_retries_is_rejected():
+    # rejected up front, whether or not the input would need a retry
+    for gens in [twisted_cubic(), monomial_gens(MonomialIdeal(2, frozenset({(1, 1)})))]:
+        with pytest.raises(ValueError, match="max_retries"):
+            compute_report(gens, max_retries=-1)
+
+
 def test_validate_rejects_doctored_reports():
     report = compute_report(twisted_cubic())
     broken = dataclasses.replace(report, reg=report.reg + 1)
@@ -221,6 +234,22 @@ def test_reg_bound_levels():
     with pytest.raises(ValueError):
         reg_bound(CURVE_INITIAL, 5)
     assert reg_bound(MonomialIdeal(2, frozenset({(1, 1)})), 1) == 0
+
+
+def test_report_bound_equals_reg_bound_of_the_initial_ideal():
+    # without retries every level ideal is an evaluation of In(I), so the
+    # report's bound and reg_bound on In(I) are the same numbers
+    inputs = [twisted_cubic()]
+    inputs += [monomial_curve(a, b) for a, b in [(3, 2), (4, 3), (5, 2), (7, 3)]]
+    inputs += [
+        monomial_gens(random_strongly_stable_ideal(seed, 2 + seed % 3, 1 + seed % 5))
+        for seed in range(20)
+    ]
+    for gens in inputs:
+        report = compute_report(gens)
+        assert report.retries == ()
+        J = initial_ideal(buchberger(gens))
+        assert report.bound == tuple(reg_bound(J, t) for t in range(report.d + 1))
 
 
 def test_zerodivisor_flags():

@@ -11,15 +11,14 @@ from hypothesis import strategies as st
 from cmreg import (
     NEG_INF,
     MonomialIdeal,
-    contains,
     corners,
     evaluate_zero,
-    exp_add,
-    is_artinian,
     is_c_finite,
     max_degree,
-    r_value,
 )
+from cmreg.monideal import contains
+from cmreg.ring import exp_add
+from cmreg.staircase import is_artinian
 from conftest import corners_reference, random_monomial_ideal
 
 CURVE_INITIAL = MonomialIdeal(
@@ -42,7 +41,7 @@ def test_corner_fixtures_for_the_curve_levels():
 def test_corners_of_simple_artinian_ideal():
     J = MonomialIdeal(2, frozenset({(2, 0), (0, 3)}))
     assert corners(J) == frozenset({(1, 2)})
-    assert r_value(J) == 3
+    assert max_degree(corners(J)) == 3
 
 
 def test_corners_edge_cases():
@@ -115,18 +114,21 @@ def test_max_degree_negative_infinity_when_no_corners():
     assert max_degree(frozenset()) == NEG_INF
 
 
-def test_r_value_gates():
-    with pytest.raises(ValueError):
-        r_value(MonomialIdeal(2, frozenset({(2, 0)})))
-    with pytest.raises(ValueError):
-        r_value(MonomialIdeal(2, frozenset({(0, 0)})))
-    assert r_value(MonomialIdeal(2, frozenset({(1, 1), (0, 5), (5, 0)}))) == 4
-    assert r_value(MonomialIdeal(0, frozenset())) == 0
+def test_top_corner_degree_gates():
+    # r is read as max_degree(corners(J)) only behind is_artinian on a
+    # proper ideal; the two gated cases are the ones r_def rejects
+    assert not is_artinian(MonomialIdeal(2, frozenset({(2, 0)})))
+    assert MonomialIdeal(2, frozenset({(0, 0)})).is_unit
+    assert max_degree(corners(MonomialIdeal(2, frozenset({(0, 0)})))) == NEG_INF
+    J = MonomialIdeal(2, frozenset({(1, 1), (0, 5), (5, 0)}))
+    assert is_artinian(J) and max_degree(corners(J)) == 4
+    empty = MonomialIdeal(0, frozenset())
+    assert is_artinian(empty) and max_degree(corners(empty)) == 0
 
 
 @given(ideals)
 def test_corner_degree_bounded_by_lcm(J):
-    from cmreg import lcm_degree
+    from cmreg.monideal import lcm_degree
 
     F = corners(J)
     if not F:
@@ -141,6 +143,6 @@ def test_artinian_top_corner_matches_last_nonzero_piece(J):
 
     if not is_artinian(J) or J.is_unit:
         return
-    r = r_value(J)
+    r = max_degree(corners(J))
     assert graded_dim_quotient(J, r) > 0
     assert graded_dim_quotient(J, r + 1) == 0
