@@ -18,16 +18,8 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 
 from cmreg import DEFAULT_CHAR, NEG_INF, Ring, compute_report, curve_report, parse_polynomial
-
-
-@dataclass(frozen=True)
-class SweepConfig:
-    max_alpha: int = 9
-    char: int = DEFAULT_CHAR
-    emit_json: bool = False
 
 
 def family(alpha: int, beta: int, p: int):
@@ -44,12 +36,12 @@ def family(alpha: int, beta: int, p: int):
     return gens
 
 
-def run(config: SweepConfig) -> int:
+def run(args: argparse.Namespace) -> int:
     rows = []
     start = time.monotonic()
-    for alpha in range(2, config.max_alpha + 1):
+    for alpha in range(2, args.max_alpha + 1):
         for beta in range(1, alpha):
-            gens = family(alpha, beta, config.char)
+            gens = family(alpha, beta, args.char)
             report = compute_report(gens)
             cr = curve_report(gens)
             ok = (
@@ -72,7 +64,7 @@ def run(config: SweepConfig) -> int:
                 }
             )
     elapsed = time.monotonic() - start
-    if config.emit_json:
+    if args.json:
         print(json.dumps({"rows": rows, "seconds": round(elapsed, 3)}, indent=2))
     else:
         print(f"{'alpha':>5} {'beta':>5} {'c1':>10} {'r':>4} {'reg':>4} "
@@ -93,8 +85,7 @@ def main(argv=None) -> int:
     parser.add_argument("--max-alpha", type=int, default=9)
     parser.add_argument("--char", type=int, default=DEFAULT_CHAR)
     parser.add_argument("--json", action="store_true")
-    args = parser.parse_args(argv)
-    return run(SweepConfig(max_alpha=args.max_alpha, char=args.char, emit_json=args.json))
+    return run(parser.parse_args(argv))
 
 
 if __name__ == "__main__":

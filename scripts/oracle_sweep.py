@@ -16,7 +16,6 @@ import json
 import random
 import sys
 import time
-from dataclasses import dataclass
 
 from cmreg import (
     MonomialIdeal,
@@ -32,22 +31,12 @@ from cmreg import (
 from cmreg.staircase import is_artinian
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    count: int = 200
-    max_vars: int = 5
-    max_entry: int = 6
-    max_gens: int = 8
-    seed: int = 0
-    emit_json: bool = False
-
-
-def random_ideal(rng: random.Random, config: SweepConfig) -> MonomialIdeal:
-    s = rng.randint(2, config.max_vars)
-    k = rng.randint(1, config.max_gens)
+def random_ideal(rng: random.Random, args: argparse.Namespace) -> MonomialIdeal:
+    s = rng.randint(2, args.max_vars)
+    k = rng.randint(1, args.max_gens)
     monomials = []
     for _ in range(k):
-        exps = tuple(rng.randint(0, config.max_entry) for _ in range(s))
+        exps = tuple(rng.randint(0, args.max_entry) for _ in range(s))
         if any(exps):
             monomials.append(exps)
     if not monomials:
@@ -55,14 +44,14 @@ def random_ideal(rng: random.Random, config: SweepConfig) -> MonomialIdeal:
     return minimalize(s, monomials)
 
 
-def run(config: SweepConfig) -> int:
-    rng = random.Random(config.seed)
+def run(args: argparse.Namespace) -> int:
+    rng = random.Random(args.seed)
     level_checks = 0
     r_checks = 0
     mismatches = []
     start = time.monotonic()
-    for index in range(config.count):
-        ideal = random_ideal(rng, config)
+    for index in range(args.count):
+        ideal = random_ideal(rng, args)
         for i in range(ideal.s):
             level = evaluate_zero(ideal, i)
             nxt = evaluate_zero(ideal, i + 1)
@@ -88,16 +77,16 @@ def run(config: SweepConfig) -> int:
                 )
     elapsed = time.monotonic() - start
     summary = {
-        "ideals": config.count,
+        "ideals": args.count,
         "level_checks": level_checks,
         "top_degree_checks": r_checks,
         "mismatches": mismatches,
         "seconds": round(elapsed, 3),
     }
-    if config.emit_json:
+    if args.json:
         print(json.dumps(summary, indent=2))
     else:
-        print(f"{config.count} ideals: {level_checks} certified level checks, "
+        print(f"{args.count} ideals: {level_checks} certified level checks, "
               f"{r_checks} top-degree checks, {len(mismatches)} mismatches, "
               f"{elapsed:.2f}s")
         for bad in mismatches:
@@ -113,17 +102,7 @@ def main(argv=None) -> int:
     parser.add_argument("--max-gens", type=int, default=8)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--json", action="store_true")
-    args = parser.parse_args(argv)
-    return run(
-        SweepConfig(
-            count=args.count,
-            max_vars=args.max_vars,
-            max_entry=args.max_entry,
-            max_gens=args.max_gens,
-            seed=args.seed,
-            emit_json=args.json,
-        )
-    )
+    return run(parser.parse_args(argv))
 
 
 if __name__ == "__main__":

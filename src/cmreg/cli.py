@@ -34,7 +34,7 @@ from .regularity import (
     compute_report,
     curve_report,
 )
-from .ring import ParseError, Polynomial, Ring, format_polynomial, parse_polynomial
+from .ring import ParseError, Polynomial, Ring, parse_polynomial
 from .staircase import NEG_INF
 
 
@@ -91,23 +91,19 @@ def parse_input(
     return ring, gens, monomial_mode
 
 
-def format_input(ring: Ring, gens: list[Polynomial], *, monomial: bool = False) -> str:
-    """Inverse of parse_input, for round trips."""
-    lines = ["ring {} {}".format(ring.p, " ".join(ring.names))]
-    if monomial:
-        lines.append("mode monomial")
-    lines.extend(format_polynomial(g) for g in gens)
-    return "\n".join(lines) + "\n"
-
-
 def _jval(v: Value) -> int | str:
     return "-infinity" if v == NEG_INF else int(v)
 
 
-def _fmt(v: Value | None) -> str:
+def _text(v: bool | int | str | list | None) -> str:
+    """A JSON value as the text output shows it."""
+    if isinstance(v, bool):
+        return "yes" if v else "no"
     if v is None:
         return "none"
-    return "-infinity" if v == NEG_INF else str(int(v))
+    if isinstance(v, list):
+        return "[{}]".format(", ".join(map(_text, v)))
+    return str(v)
 
 
 def report_to_json(report: RegularityReport) -> dict:
@@ -169,17 +165,11 @@ def oracle_to_json(record: CrossCheckRecord) -> dict:
 
 def _print_report(report: RegularityReport, *, verbose: bool, partial: int | None) -> None:
     if partial is not None:
-        print(f"reg_{partial} = {_fmt(report.reg_t[partial])}")
+        print(f"reg_{partial} = {_jval(report.reg_t[partial])}")
         return
-    print(f"n = {report.n}")
-    print(f"p = {report.p}")
-    print(f"d = {report.d}")
-    print("c = [{}]".format(", ".join(_fmt(v) for v in report.c)))
-    print(f"r = {report.r}")
-    print(f"reg = {report.reg}")
-    print("reg_t = [{}]".format(", ".join(_fmt(v) for v in report.reg_t)))
-    print("bound = [{}]".format(", ".join(str(b) for b in report.bound)))
-    print(f"attained_t = {report.attained_t}")
+    for key, value in report_to_json(report).items():
+        if key not in ("retries", "corners"):
+            print(f"{key} = {_text(value)}")
     print(f"retries = {len(report.retries)}")
     if verbose:
         for rec in report.retries:
@@ -193,29 +183,23 @@ def _print_report(report: RegularityReport, *, verbose: bool, partial: int | Non
 
 
 def _print_curve(cr: CurveReport) -> None:
-    print(f"noether_ok = {'yes' if cr.noether_ok else 'no'}")
-    if not cr.noether_ok:
-        return
-    print(f"c1 = {_fmt(cr.c1)}")
-    print(f"r = {cr.r}")
-    print(f"reg = {cr.reg}")
-    print(f"H_E = {_fmt(cr.H_E)}")
-    print(f"H_Re = {_fmt(cr.H_Re)}")
-    print(f"last_shift = {_fmt(cr.last_shift)}")
+    data = curve_to_json(cr) if cr.noether_ok else {"noether_ok": False}
+    for key, value in data.items():
+        print(f"{key} = {_text(value)}")
 
 
 def _print_oracle(record: CrossCheckRecord) -> None:
     for ch in record.levels:
         print(
-            f"level {ch.level}: c={_fmt(ch.c_reported)} "
-            f"a_def={_fmt(ch.a_definition)} ceiling={ch.ceiling} "
-            f"match={'yes' if ch.match else 'no'}"
+            f"level {ch.level}: c={_jval(ch.c_reported)} "
+            f"a_def={_jval(ch.a_definition)} ceiling={ch.ceiling} "
+            f"match={_text(ch.match)}"
         )
     print(
         f"r: reported={record.r_reported} definition={record.r_definition} "
-        f"match={'yes' if record.r_match else 'no'}"
+        f"match={_text(record.r_match)}"
     )
-    print(f"ok = {'yes' if record.ok else 'no'}")
+    print(f"ok = {_text(record.ok)}")
 
 
 def _read_text(path: str) -> str:

@@ -79,9 +79,11 @@ def r_def(J: MonomialIdeal, ceiling: int | None = None) -> int:
     if ceiling is None:
         deg = lcm_degree(J, 0)
         if deg is None:
-            raise ValueError(
-                "quotient is not Artinian: the zero ideal has infinite dimension"
-            )
+            if J.s > 0:
+                raise ValueError(
+                    "quotient is not Artinian: the zero ideal has infinite dimension"
+                )
+            deg = 0  # no variables: the quotient is F_p, top degree 0
         ceiling = deg + 1
     for r in range(ceiling + 1):
         if graded_dim_quotient(J, r) == 0:
@@ -97,17 +99,29 @@ class LevelCheck:
     c_reported: Value
     a_definition: Value
     ceiling: int
-    match: bool
+
+    @property
+    def match(self) -> bool:
+        return self.a_definition == self.c_reported
 
 
 @dataclass(frozen=True)
 class CrossCheckRecord:
-    ok: bool
     levels: tuple[LevelCheck, ...]
-    r_reported: int
     r_definition: int
-    r_match: bool
     report: RegularityReport
+
+    @property
+    def r_reported(self) -> int:
+        return self.report.r
+
+    @property
+    def r_match(self) -> bool:
+        return self.r_definition == self.r_reported
+
+    @property
+    def ok(self) -> bool:
+        return self.r_match and all(ch.match for ch in self.levels)
 
 
 def cross_check(
@@ -120,27 +134,8 @@ def cross_check(
     coordinate changes the pipeline made).
     """
     report = compute_report(gens, seed=seed, max_retries=max_retries)
-    checks: list[LevelCheck] = []
+    checks = []
     for i, level in enumerate(report.levels):
         value, _, ceiling = a_def_with_trace(level, 0)
-        checks.append(
-            LevelCheck(
-                level=i,
-                c_reported=report.c[i],
-                a_definition=value,
-                ceiling=ceiling,
-                match=value == report.c[i],
-            )
-        )
-    r_definition = r_def(report.levels[report.d])
-
-    r_match = r_definition == report.r
-    ok = r_match and all(ch.match for ch in checks)
-    return CrossCheckRecord(
-        ok=ok,
-        levels=tuple(checks),
-        r_reported=report.r,
-        r_definition=r_definition,
-        r_match=r_match,
-        report=report,
-    )
+        checks.append(LevelCheck(i, report.c[i], value, ceiling))
+    return CrossCheckRecord(tuple(checks), r_def(report.levels[report.d]), report)

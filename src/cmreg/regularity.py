@@ -14,8 +14,10 @@ Pipeline for a homogeneous proper ideal I over F_p:
 4. r = top corner degree of the Artinian evaluation at level d, and
    reg(S/I) = max(c_0..c_{d-1}, r).
 
-Partial values reg_t = max(c_0..c_t) and the lcm degree bound
-max(deg g_i - n + i, i <= t) are reported per level.
+The report stores only what the walk certified: the level values, their
+corners and the level ideals.  r, reg, the partial values
+reg_t = max(c_0..c_t) and the lcm degree bound max(deg g_i - n + i, i <= t)
+are computed from those.
 """
 
 from __future__ import annotations
@@ -55,39 +57,45 @@ class RetryRecord:
 
 @dataclass(frozen=True)
 class RegularityReport:
+    """What the level walk certified; every other reported number is
+    computed from c and levels."""
+
     n: int
     p: int
     d: int
     c: tuple[Value, ...]
     corners: tuple[tuple[Exponent, ...], ...]
-    r: int
-    reg: int
-    reg_t: tuple[Value, ...]
-    bound: tuple[int, ...]
-    attained_t: int
     retries: tuple[RetryRecord, ...]
     levels: tuple[MonomialIdeal, ...]  # the certified level ideal J_i per level
 
+    @property
+    def r(self) -> int:
+        return int(self.c[self.d])
+
+    @property
+    def reg(self) -> int:
+        return int(max(self.c))
+
+    @property
+    def reg_t(self) -> tuple[Value, ...]:
+        return tuple(accumulate(self.c, max))
+
+    @property
+    def bound(self) -> tuple[Value, ...]:
+        per_level = (_level_bound(J, self.n, i) for i, J in enumerate(self.levels))
+        return tuple(accumulate(per_level, max))
+
+    @property
+    def attained_t(self) -> int:
+        return self.c.index(max(self.c))
+
     def validate(self) -> None:
-        d = self.d
-        arrays = (self.c, self.reg_t, self.bound, self.levels)
-        if any(len(a) != d + 1 for a in arrays):
+        if any(len(a) != self.d + 1 for a in (self.c, self.corners, self.levels)):
             raise RuntimeError("report arrays must have d + 1 entries")
-        expected = self.r if d == 0 else max([*self.c[:d], self.r])
-        if self.reg != expected:
-            raise RuntimeError(f"reg {self.reg} != max of level values {expected}")
-        if self.c[d] != self.r:
-            raise RuntimeError("top level value must equal r")
-        for t in range(d):
-            if self.reg_t[t] > self.reg_t[t + 1]:
-                raise RuntimeError("partial values must be nondecreasing")
-        if self.reg_t[d] != self.reg:
-            raise RuntimeError("last partial value must equal reg")
-        for t in range(d + 1):
-            if self.reg_t[t] > self.bound[t]:
+        for t, (value, bound) in enumerate(zip(self.reg_t, self.bound)):
+            if value > bound:
                 raise RuntimeError(
-                    f"lcm degree bound violated at t={t}: "
-                    f"{self.reg_t[t]} > {self.bound[t]}"
+                    f"lcm degree bound violated at t={t}: {value} > {bound}"
                 )
 
 
@@ -108,8 +116,6 @@ def derive_matrix_seed(seed: int, level: int, attempt: int) -> int:
 
 
 def _validated_basis(gens: list[Polynomial]) -> list[Polynomial]:
-    if not gens:
-        raise ValueError("no generators given")
     for g in gens:
         if not g.is_zero and g.degree() == 0:
             raise ValueError("constant generator: the ideal must be proper")
@@ -145,17 +151,20 @@ def compute_report(
     if max_retries < 0:
         raise ValueError(f"max_retries must be nonnegative, got {max_retries}")
     basis = _validated_basis(gens)
-    ring = gens[0].ring
-    n = ring.n
     full = initial_ideal(basis)
-    d = krull_dim(full)
+    return _walk(basis, full, krull_dim(full), seed, max_retries)
 
+
+def _walk(
+    basis: list[Polynomial], full: MonomialIdeal, d: int, seed: int, max_retries: int
+) -> RegularityReport:
+    """Certify and read the level values c_0..c_d of the ideal with reduced
+    Groebner basis `basis`, initial ideal `full` and dimension d."""
     cur = full  # initial ideal of the current evaluated (and transformed) ideal
     cur_gens = basis
     base = 0  # how many trailing variables the current data already drops
     c_values: list[Value] = []
     corner_rows: list[tuple[Exponent, ...]] = []
-    level_bounds: list[Value] = []
     retries: list[RetryRecord] = []
     levels: list[MonomialIdeal] = []
 
@@ -201,25 +210,14 @@ def compute_report(
         c_values.append(max_degree(F))
         corner_rows.append(tuple(sorted(F)))
         levels.append(level_ideal)
-        level_bounds.append(_level_bound(level_ideal, n, i))
 
-    r = int(c_values[d])
-    reg = int(max([*c_values[:d], r]))
-    reg_t = tuple(accumulate(c_values, max))
-    bound = tuple(accumulate(level_bounds, max))
-    top = max(c_values)
-    attained_t = min(t for t in range(d + 1) if c_values[t] == top)
+    ring = basis[0].ring
     report = RegularityReport(
-        n=n,
+        n=ring.n,
         p=ring.p,
         d=d,
         c=tuple(c_values),
         corners=tuple(corner_rows),
-        r=r,
-        reg=reg,
-        reg_t=reg_t,
-        bound=bound,
-        attained_t=attained_t,
         retries=tuple(retries),
         levels=tuple(levels),
     )
@@ -257,33 +255,32 @@ def curve_report(gens: list[Polynomial]) -> CurveReport:
     noether_ok = False and no values.
     """
     basis = _validated_basis(gens)
-    ring = gens[0].ring
-    n = ring.n
     full = initial_ideal(basis)
     d = krull_dim(full)
     if d != 2 or not is_artinian(evaluate_zero(full, 2)):
         return CurveReport(noether_ok=False)
+    n = full.s
     if any(g[n - 1] > 0 for g in full.gens):
         raise ValueError(
             "an initial generator involves the last variable; "
             "the input is not a saturated ideal in this position"
         )
-    level_one = evaluate_zero(full, 1)
-    level_two = evaluate_zero(full, 2)
-    if not is_c_finite(level_one, level_two):
+    # level 0 passes (no generator involves x_n) and level 2 is Artinian,
+    # so only the level-1 certificate can fail
+    try:
+        report = _walk(basis, full, d, 0, 0)
+    except RetriesExhaustedError:
         raise ValueError(
             "level-1 value is infinite despite Noether position; "
             "the input is not a saturated curve ideal"
-        )
-    c1 = max_degree(corners(level_one))
-    r = int(max_degree(corners(level_two)))
-    reg = int(max(c1, r))
+        ) from None
+    c1, r, reg = report.c[1], report.r, report.reg
 
     # the counting function of the added monomials must stabilize at the
     # same degree the corner route produced
     from .oracle import POS_INF, a_def  # oracle imports this module
 
-    gap = a_def(level_one, 0)
+    gap = a_def(report.levels[1], 0)
     if gap == POS_INF:
         raise RuntimeError("saturation gap persists beyond the certified ceiling")
     h_re_direct = 0 if gap == NEG_INF else int(gap)

@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from cmreg import DEFAULT_CHAR, ParseError
-from cmreg.cli import format_input, main, parse_input
+from cmreg import DEFAULT_CHAR, ParseError, Polynomial, Ring
+from cmreg.cli import main, parse_input
 from cmreg.ring import format_polynomial
 from conftest import monomial_curve, twisted_cubic
 
@@ -33,6 +33,15 @@ x1^5 - x2^2*x4^3
 """
 
 RETRY_TEXT = "ring 32003 x1 x2\nx1*x2\n"
+
+
+def format_input(ring: Ring, gens: list[Polynomial], *, monomial: bool = False) -> str:
+    """Inverse of parse_input, for round trips."""
+    lines = ["ring {} {}".format(ring.p, " ".join(ring.names))]
+    if monomial:
+        lines.append("mode monomial")
+    lines.extend(format_polynomial(g) for g in gens)
+    return "\n".join(lines) + "\n"
 
 
 def write(tmp_path, text):
@@ -115,6 +124,10 @@ def test_default_char_matches_parser_default():
         (["curve", "--json"], CURVE_5_2_TEXT, "monomial_curve_5_2_curve.json"),
         (["compute", "--json"], RETRY_TEXT, "retry_compute.json"),
         (["oracle", "--json"], TWISTED_TEXT, "twisted_cubic_oracle.json"),
+        # the text output of each subcommand is pinned too
+        (["compute", "--verbose"], RETRY_TEXT, "retry_compute_verbose.txt"),
+        (["curve"], CURVE_5_2_TEXT, "monomial_curve_5_2_curve.txt"),
+        (["oracle"], TWISTED_TEXT, "twisted_cubic_oracle.txt"),
     ],
 )
 def test_golden_json_outputs(tmp_path, capsys, args, text, golden):
@@ -238,13 +251,11 @@ def test_exit_code_oracle_mismatch(tmp_path, capsys, monkeypatch):
 
     record = climod.cross_check(twisted_cubic())
     broken = record.__class__(
-        ok=False,
         levels=record.levels,
-        r_reported=record.r_reported,
         r_definition=record.r_definition + 1,
-        r_match=False,
         report=record.report,
     )
+    assert not broken.ok
     monkeypatch.setattr(climod, "cross_check", lambda *a, **k: broken)
     path = write(tmp_path, TWISTED_TEXT)
     assert main(["oracle", path]) == 4

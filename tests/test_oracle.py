@@ -74,12 +74,16 @@ def test_r_def_fixtures():
     assert r_def(MonomialIdeal(2, frozenset({(1, 1), (0, 5), (5, 0)}))) == 4
     assert r_def(MonomialIdeal(2, frozenset({(2, 0), (0, 3)}))) == 3
     assert r_def(MonomialIdeal(0, frozenset()), ceiling=1) == 0
+    # the zero ideal in no variables: the quotient is F_p, top degree 0
+    assert r_def(MonomialIdeal(0, frozenset())) == 0
     with pytest.raises(ValueError):
         r_def(MonomialIdeal(2, frozenset({(2, 0)})))
     with pytest.raises(ValueError):
         r_def(MonomialIdeal(2, frozenset({(0, 0)})))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not Artinian"):
         r_def(MonomialIdeal(2, frozenset()))
+    with pytest.raises(ValueError, match="not Artinian"):
+        r_def(MonomialIdeal(1, frozenset()))
     with pytest.raises(ValueError):
         # a ceiling below the true top degree cannot certify termination
         r_def(MonomialIdeal(2, frozenset({(2, 0), (0, 3)})), ceiling=2)

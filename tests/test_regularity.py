@@ -10,6 +10,7 @@ from cmreg import (
     NEG_INF,
     MonomialIdeal,
     Polynomial,
+    RegularityReport,
     Ring,
     compute_report,
     corners,
@@ -216,15 +217,28 @@ def test_negative_max_retries_is_rejected():
 
 def test_validate_rejects_doctored_reports():
     report = compute_report(twisted_cubic())
-    broken = dataclasses.replace(report, reg=report.reg + 1)
-    with pytest.raises(RuntimeError):
-        broken.validate()
-    inflated = dataclasses.replace(report, reg_t=(5, 5, report.reg))
-    with pytest.raises(RuntimeError):
+    report.validate()
+    for field in ("levels", "corners"):
+        truncated = dataclasses.replace(report, **{field: getattr(report, field)[:-1]})
+        with pytest.raises(RuntimeError, match="d \\+ 1 entries"):
+            truncated.validate()
+    # bound is (0, 1, 2); a level value of 5 at level 1 lifts reg_1 above it
+    inflated = dataclasses.replace(report, c=(NEG_INF, 5, 1))
+    with pytest.raises(RuntimeError, match="lcm degree bound violated at t=1"):
         inflated.validate()
-    truncated = dataclasses.replace(report, levels=report.levels[:-1])
-    with pytest.raises(RuntimeError):
-        truncated.validate()
+
+
+def test_report_stores_only_what_the_walk_certified():
+    names = [f.name for f in dataclasses.fields(RegularityReport)]
+    assert names == ["n", "p", "d", "c", "corners", "retries", "levels"]
+    report = compute_report(monomial_curve(5, 2))
+    assert report.c == (NEG_INF, 4, 4)
+    assert (report.r, report.reg, report.attained_t) == (4, 4, 1)
+    assert report.reg_t == (NEG_INF, 4, 4)
+    doctored = dataclasses.replace(report, c=(NEG_INF, 3, 5))
+    assert (doctored.r, doctored.reg, doctored.attained_t) == (5, 5, 2)
+    assert doctored.reg_t == (NEG_INF, 3, 5)
+    assert doctored.bound == report.bound == (8, 9, 9)
 
 
 def test_reg_bound_levels():
@@ -323,6 +337,38 @@ def test_curve_report_rejects_bad_positions():
         [parse_polynomial("x1^2", ring), parse_polynomial("x2*x4", ring)]
     )
     assert not cr.noether_ok
+    # dimension two in three variables: x2, x3 is not a system of parameters
+    ring = Ring.make(3, 32003)
+    cr = curve_report([parse_polynomial(t, ring) for t in ["x1*x2", "x1*x3"]])
+    assert not cr.noether_ok
+
+
+def test_curve_report_reads_the_level_walk(monkeypatch):
+    """Curve mode certifies and reads its levels through the same walk as
+    compute_report: the same certificate and corner calls, on the same
+    level ideals."""
+    import cmreg.regularity as regmod
+
+    def recorded(name, calls):
+        original = getattr(regmod, name)
+
+        def wrapper(*args):
+            calls.append((name, args))
+            return original(*args)
+
+        monkeypatch.setattr(regmod, name, wrapper)
+
+    gens = monomial_curve(5, 2)
+    walks = []
+    for run in (curve_report, compute_report):
+        calls = []
+        for name in ("is_c_finite", "corners"):
+            recorded(name, calls)
+        run(gens)
+        walks.append(calls)
+        monkeypatch.undo()
+    assert walks[0] == walks[1]
+    assert [name for name, _ in walks[0]].count("corners") == 3
 
 
 def test_curve_report_flags_unsaturated_input():
