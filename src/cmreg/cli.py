@@ -25,7 +25,7 @@ import argparse
 import json
 import sys
 
-from .oracle import CrossCheckRecord, cross_check
+from .oracle import POS_INF, CrossCheckRecord, cross_check
 from .regularity import (
     CurveReport,
     RegularityReport,
@@ -92,7 +92,11 @@ def parse_input(
 
 
 def _jval(v: Value) -> int | str:
-    return "-infinity" if v == NEG_INF else int(v)
+    if v == NEG_INF:
+        return "-infinity"
+    if v == POS_INF:
+        return "infinity"
+    return int(v)
 
 
 def _text(v: bool | int | str | list | None) -> str:

@@ -17,6 +17,7 @@ from .ring import (
     Exponent,
     Polynomial,
     Ring,
+    exp_add,
     exp_divides,
     exp_lcm,
     exp_sub,
@@ -42,14 +43,19 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     """(lcm/lt(f)) * f - (lcm/lt(g)) * g, with both heads scaled to 1."""
     if f.is_zero or g.is_zero:
         raise ValueError("S-polynomial of a zero polynomial")
-    f._check(g)
+    if f.ring != g.ring:
+        raise ValueError("polynomials live in different rings")
     p = f.ring.p
-    ef, cf = f.leading_term()
-    eg, cg = g.leading_term()
-    lcm = exp_lcm(ef, eg)
-    left = f.term_mul(exp_sub(lcm, ef), pow(cf, -1, p))
-    right = g.term_mul(exp_sub(lcm, eg), pow(cg, -1, p))
-    return left - right
+    lcm = exp_lcm(f.leading_exponent(), g.leading_exponent())
+    acc: dict[Exponent, int] = {}
+    for h, sign in ((f, 1), (g, -1)):
+        head, c = h.leading_term()
+        shift = exp_sub(lcm, head)
+        scale = sign * pow(c, -1, p)
+        for e, c2 in h.terms:
+            target = exp_add(e, shift)
+            acc[target] = acc.get(target, 0) + scale * c2
+    return Polynomial.from_dict(f.ring, acc)
 
 
 def reduce(f: Polynomial, basis: list[Polynomial]) -> Polynomial:
@@ -188,47 +194,47 @@ def matrix_digest(matrix: Matrix) -> str:
 
 
 def apply_linear_change(gens: list[Polynomial], matrix: Matrix) -> list[Polynomial]:
-    """Substitute x_j -> sum_h matrix[j][h] * x_h for j below the matrix
-    size; later variables are untouched."""
+    """Substitute x_j -> sum_h matrix[j][h] * x_h for every variable; the
+    matrix must be square of the ring's size."""
     if not gens:
         return []
     ring = gens[0].ring
-    k = len(matrix)
-    if not 1 <= k <= ring.n:
-        raise ValueError(f"matrix size {k} out of range for {ring.n} variables")
-    images = []
-    for j in range(1, ring.n + 1):
-        if j <= k:
-            acc: dict[Exponent, int] = {}
-            for h in range(1, j + 1):
-                c = matrix[j - 1][h - 1]
-                if c:
-                    exp = tuple(1 if t == h - 1 else 0 for t in range(ring.n))
-                    acc[exp] = c
-            images.append(Polynomial.from_dict(ring, acc))
-        else:
-            images.append(Polynomial.variable(ring, j))
+    n, p = ring.n, ring.p
+    if len(matrix) != n or any(len(row) != n for row in matrix):
+        raise ValueError(f"change matrix must be {n} x {n}")
     out = []
     for g in gens:
-        total = Polynomial.zero(ring)
+        total: dict[Exponent, int] = {}
         for exp, c in g.terms:
-            piece = Polynomial.constant(ring, c)
+            piece = {(0,) * n: c}
             for j, e in enumerate(exp):
                 for _ in range(e):
-                    piece = piece * images[j]
-            total = total + piece
-        out.append(total)
+                    piece = _times_row(piece, matrix[j], p)
+            for e2, c2 in piece.items():
+                total[e2] = total.get(e2, 0) + c2
+        out.append(Polynomial.from_dict(ring, total))
     return out
 
 
+def _times_row(
+    piece: dict[Exponent, int], row: tuple[int, ...], p: int
+) -> dict[Exponent, int]:
+    """Multiply a term dict by the linear form sum_h row[h] * x_h."""
+    acc: dict[Exponent, int] = {}
+    for e, c in piece.items():
+        for h, a in enumerate(row):
+            if a:
+                target = e[:h] + (e[h] + 1,) + e[h + 1 :]
+                acc[target] = (acc.get(target, 0) + c * a) % p
+    return acc
+
+
 def random_linear_change(
-    gens: list[Polynomial], k: int, rng_seed: int
+    gens: list[Polynomial], rng_seed: int
 ) -> tuple[list[Polynomial], Matrix]:
-    """Apply a seeded invertible change touching only x_1..x_k."""
+    """Apply a seeded invertible change of all the variables."""
     if not gens:
         raise ValueError("no generators given")
     ring = gens[0].ring
-    if not 1 <= k <= ring.n:
-        raise ValueError(f"change size {k} out of range for {ring.n} variables")
-    matrix = sample_change_matrix(ring.p, k, rng_seed)
+    matrix = sample_change_matrix(ring.p, ring.n, rng_seed)
     return apply_linear_change(gens, matrix), matrix

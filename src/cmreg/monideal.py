@@ -82,13 +82,6 @@ def saturate_by_var(J: MonomialIdeal, j: int) -> MonomialIdeal:
     return minimalize(J.s, erased)
 
 
-def evaluate_one(J: MonomialIdeal) -> MonomialIdeal:
-    """Set the last variable to one.  Identical to saturating by it."""
-    if J.s < 1:
-        raise ValueError("no variable left to evaluate at one")
-    return saturate_by_var(J, J.s)
-
-
 def colon_by_var(J: MonomialIdeal, j: int) -> MonomialIdeal:
     """J : x_j (1-based j): decrement the j-th exponent, floored at zero."""
     if not 1 <= j <= J.s:
@@ -156,11 +149,9 @@ def krull_dim(J: MonomialIdeal) -> int:
     raise AssertionError("unreachable: full variable set always covers")
 
 
-def lcm_degree(J: MonomialIdeal, i: int) -> int | None:
-    """Degree of the lcm of the generators surviving evaluation of the
-    last i variables, or None when none survive."""
-    Ji = evaluate_zero(J, i)
-    return None if Ji.is_zero else exp_degree(Ji.max_exponents())
+def lcm_degree(J: MonomialIdeal) -> int | None:
+    """Degree of the lcm of the generators, or None for the zero ideal."""
+    return None if J.is_zero else exp_degree(J.max_exponents())
 
 
 def difference_degree_counts(

@@ -23,11 +23,11 @@ from dataclasses import dataclass
 from .monideal import (
     MonomialIdeal,
     difference_degree_counts,
-    evaluate_one,
     evaluate_zero,
     gap_search_ceiling,
     graded_dim_quotient,
     lcm_degree,
+    saturate_by_var,
 )
 from .regularity import RegularityReport, Value, compute_report
 from .ring import Polynomial
@@ -58,7 +58,7 @@ def a_def_with_trace(
     if not 0 <= i <= J.s - 1:
         raise ValueError(f"level {i} out of range for {J.s} variables")
     level = evaluate_zero(J, i)
-    saturated = evaluate_one(level)
+    saturated = saturate_by_var(level, level.s)
     if ceiling is None:
         ceiling = gap_search_ceiling(level)
     elif ceiling < 1:
@@ -77,7 +77,7 @@ def r_def(J: MonomialIdeal, ceiling: int | None = None) -> int:
     if J.is_unit:
         raise ValueError("unit ideal: the quotient is zero and has no top degree")
     if ceiling is None:
-        deg = lcm_degree(J, 0)
+        deg = lcm_degree(J)
         if deg is None:
             if J.s > 0:
                 raise ValueError(

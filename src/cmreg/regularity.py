@@ -191,9 +191,7 @@ def _walk(
                 raise RetriesExhaustedError(
                     i, "level ideal is zero; no coordinate change can repair it"
                 )
-            transformed, matrix = random_linear_change(
-                evaluated, evaluated[0].ring.n, mseed
-            )
+            transformed, matrix = random_linear_change(evaluated, mseed)
             cur_gens = buchberger(transformed)
             cur = initial_ideal(cur_gens)
             base = i
@@ -228,7 +226,7 @@ def _walk(
 def _level_bound(level: MonomialIdeal, n: int, i: int) -> Value:
     """Lcm degree bound of level i, read off its level ideal J_i:
     deg lcm(gens of J_i) - n + i; -infinity when no generator survives."""
-    deg = lcm_degree(level, 0)
+    deg = lcm_degree(level)
     return NEG_INF if deg is None else deg - n + i
 
 

@@ -1,4 +1,4 @@
-"""Exact arithmetic for homogeneous polynomials over F_p.
+"""Immutable polynomials over F_p, the term order, and the text syntax.
 
 Monomials are exponent tuples of fixed length n.  The term order used
 everywhere is graded reverse lexicographic with x_1 > x_2 > ... > x_n:
@@ -103,9 +103,6 @@ class Ring:
     def make(n: int, p: int = DEFAULT_CHAR) -> "Ring":
         return Ring(tuple(f"x{j}" for j in range(1, n + 1)), p)
 
-    def zero_exponent(self) -> Exponent:
-        return (0,) * self.n
-
 
 def _normalize(ring: Ring, mapping: Mapping[Exponent, int]) -> tuple[Term, ...]:
     items = []
@@ -136,18 +133,6 @@ class Polynomial:
         return Polynomial(ring, ())
 
     @staticmethod
-    def constant(ring: Ring, c: int) -> "Polynomial":
-        return Polynomial.from_dict(ring, {ring.zero_exponent(): c})
-
-    @staticmethod
-    def variable(ring: Ring, j: int) -> "Polynomial":
-        """The variable x_j, 1-based."""
-        if not 1 <= j <= ring.n:
-            raise ValueError(f"variable index {j} out of range")
-        exp = tuple(1 if k == j - 1 else 0 for k in range(ring.n))
-        return Polynomial(ring, ((exp, 1),))
-
-    @staticmethod
     def monomial(ring: Ring, exp: Exponent, c: int = 1) -> "Polynomial":
         return Polynomial.from_dict(ring, {exp: c})
 
@@ -172,49 +157,16 @@ class Polynomial:
     def is_homogeneous(self) -> bool:
         return len({exp_degree(e) for e, _ in self.terms}) <= 1
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        self._check(other)
-        acc = dict(self.terms)
-        for e, c in other.terms:
-            acc[e] = acc.get(e, 0) + c
-        return Polynomial.from_dict(self.ring, acc)
-
-    def __neg__(self) -> "Polynomial":
-        p = self.ring.p
-        return Polynomial(self.ring, tuple((e, p - c) for e, c in self.terms))
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        self._check(other)
-        acc: dict[Exponent, int] = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = exp_add(e1, e2)
-                acc[e] = acc.get(e, 0) + c1 * c2
-        return Polynomial.from_dict(self.ring, acc)
-
-    def scale(self, c: int) -> "Polynomial":
-        return Polynomial.from_dict(self.ring, {e: c0 * c for e, c0 in self.terms})
-
-    def term_mul(self, exp: Exponent, c: int) -> "Polynomial":
-        """Multiply by the single term c * x^exp."""
-        return Polynomial.from_dict(
-            self.ring, {exp_add(e, exp): c0 * c for e, c0 in self.terms}
-        )
-
     def monic(self) -> "Polynomial":
         if self.is_zero:
             raise ValueError("cannot normalize the zero polynomial")
         c = self.leading_term()[1]
         if c == 1:
             return self
-        return self.scale(pow(c, -1, self.ring.p))
-
-    def _check(self, other: "Polynomial") -> None:
-        if self.ring != other.ring:
-            raise ValueError("polynomials live in different rings")
+        p = self.ring.p
+        inv = pow(c, -1, p)
+        # a unit mod p keeps every coefficient nonzero and the terms in order
+        return Polynomial(self.ring, tuple((e, c0 * inv % p) for e, c0 in self.terms))
 
     def __str__(self) -> str:
         return format_polynomial(self)

@@ -121,6 +121,68 @@ def reduce_reference(f: Polynomial, basis: list[Polynomial]) -> Polynomial:
     return Polynomial.from_dict(ring, out)
 
 
+def macaulay_basis(gens: list[Polynomial], top: int) -> set[Polynomial]:
+    """Reduced Groebner basis elements of degree <= top of the homogeneous
+    ideal generated by gens, by row reduction of Macaulay matrices over F_p
+    (Lazard 1983); kept only to cross-check cmreg.buchberger.
+
+    In degree t the rows are the products m*f with deg m = t - deg f, and
+    the columns are the degree-t monomials in descending revlex.  Each row
+    of the reduced echelon form is its pivot minus a combination of
+    standard monomials, so the rows whose pivot no pivot of lower degree
+    divides are exactly the reduced basis elements of degree t.
+    """
+    ring = gens[0].ring
+    n, p = ring.n, ring.p
+    # all exponent vectors of each degree, in descending revlex: at equal
+    # degree x^a > x^b when the last nonzero entry of a - b is negative,
+    # which is ascending order of the reversed tuples
+    by_degree: dict[int, list[Exponent]] = {t: [] for t in range(top + 1)}
+    for a in itertools.product(range(top + 1), repeat=n):
+        if sum(a) <= top:
+            by_degree[sum(a)].append(a)
+    for mons in by_degree.values():
+        mons.sort(key=lambda a: a[::-1])
+
+    def subtract(row: dict[int, int], factor: int, other: dict[int, int]) -> None:
+        for k, c in other.items():
+            v = (row.get(k, 0) - factor * c) % p
+            if v:
+                row[k] = v
+            else:
+                row.pop(k, None)
+
+    lower_pivots: list[Exponent] = []
+    found: set[Polynomial] = set()
+    for t in range(top + 1):
+        columns = by_degree[t]
+        index = {a: k for k, a in enumerate(columns)}
+        echelon: dict[int, dict[int, int]] = {}  # pivot column -> row, pivot 1
+        for f in gens:
+            shift_degree = t - sum(f.terms[0][0])
+            for m in by_degree.get(shift_degree, ()):
+                row = {index[tuple(x + y for x, y in zip(e, m))]: c for e, c in f.terms}
+                while row:
+                    lead = min(row)
+                    if lead not in echelon:
+                        inv = pow(row[lead], -1, p)
+                        echelon[lead] = {k: c * inv % p for k, c in row.items()}
+                        break
+                    subtract(row, row[lead], echelon[lead])
+        # back substitution, smallest pivot monomials first: each row then
+        # meets only rows that are already reduced
+        for lead in sorted(echelon, reverse=True):
+            row = echelon[lead]
+            for k in sorted(k for k in row if k != lead and k in echelon):
+                subtract(row, row[k], echelon[k])
+        for lead, row in echelon.items():
+            if not any(exp_divides(q, columns[lead]) for q in lower_pivots):
+                terms = {columns[k]: c for k, c in row.items()}
+                found.add(Polynomial.from_dict(ring, terms))
+        lower_pivots.extend(columns[lead] for lead in echelon)
+    return found
+
+
 def revlex_compare(a: Exponent, b: Exponent) -> int:
     """Return -1, 0 or 1 as x^a <, = or > x^b in graded revlex.
 

@@ -260,3 +260,23 @@ def test_exit_code_oracle_mismatch(tmp_path, capsys, monkeypatch):
     path = write(tmp_path, TWISTED_TEXT)
     assert main(["oracle", path]) == 4
     assert "ok = no" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("json_flag", [False, True])
+def test_oracle_reports_infinite_definitional_value(
+    tmp_path, capsys, monkeypatch, json_flag
+):
+    monkeypatch.setattr(
+        "cmreg.oracle.a_def_with_trace", lambda *a, **k: (float("inf"), {}, 3)
+    )
+    path = write(tmp_path, TWISTED_TEXT)
+    assert main(["oracle", path] + ["--json"] * json_flag) == 4
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    if json_flag:
+        data = json.loads(captured.out)
+        assert [ch["a_definition"] for ch in data["levels"]] == ["infinity"] * 3
+        assert not data["ok"]
+    else:
+        assert "level 0: c=-infinity a_def=infinity ceiling=3 match=no" in captured.out
+        assert "ok = no" in captured.out

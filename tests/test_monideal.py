@@ -20,7 +20,6 @@ from cmreg import (
 from cmreg.monideal import (
     contains,
     difference_degree_counts,
-    evaluate_one,
     gap_search_ceiling,
     lcm_degree,
 )
@@ -89,7 +88,6 @@ def test_saturate_by_var():
     level1 = evaluate_zero(CURVE_INITIAL, 1)
     sat = saturate_by_var(level1, 3)
     assert sat.gens == frozenset({(1, 1, 0), (0, 5, 0), (3, 0, 0)})
-    assert evaluate_one(level1) == sat
 
 
 def test_saturate_unit_and_zero():
@@ -164,15 +162,15 @@ def test_graded_dim_counts_standard_monomials(J, r):
 
 def test_lcm_degree():
     assert CURVE_INITIAL.max_exponents() == (5, 5, 2, 0)
-    assert lcm_degree(CURVE_INITIAL, 0) == 12
-    assert lcm_degree(CURVE_INITIAL, 2) == 10
-    assert lcm_degree(MonomialIdeal(2, frozenset({(1, 1)})), 1) is None
-    assert lcm_degree(MonomialIdeal(2, frozenset()), 0) is None
+    assert lcm_degree(CURVE_INITIAL) == 12
+    assert lcm_degree(evaluate_zero(CURVE_INITIAL, 2)) == 10
+    assert lcm_degree(evaluate_zero(MonomialIdeal(2, frozenset({(1, 1)})), 1)) is None
+    assert lcm_degree(MonomialIdeal(2, frozenset())) is None
 
 
 def test_difference_degree_counts_finite_gap():
     level1 = evaluate_zero(CURVE_INITIAL, 1)
-    sat = evaluate_one(level1)
+    sat = saturate_by_var(level1, 3)
     counts = difference_degree_counts(level1, sat, 10)
     assert counts[3] == 1  # the pure cube of the first variable
     assert counts[4] > 0

@@ -201,7 +201,7 @@ def test_input_validation():
     with pytest.raises(ValueError):
         compute_report([])
     with pytest.raises(ValueError):
-        compute_report([Polynomial.constant(ring, 5)])
+        compute_report([parse_polynomial("5", ring)])
     with pytest.raises(ValueError):
         compute_report([Polynomial.zero(ring)])
     with pytest.raises(ValueError):

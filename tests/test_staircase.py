@@ -133,7 +133,7 @@ def test_corner_degree_bounded_by_lcm(J):
     F = corners(J)
     if not F:
         return
-    bound = lcm_degree(J, 0) - J.s
+    bound = lcm_degree(J) - J.s
     assert max_degree(F) <= bound
 
 
